@@ -24,8 +24,8 @@ import numpy as np
 from scipy import integrate
 from scipy.special import gammaln, ndtr
 
-from .moments import ExtendedP, lambda_p, lambda_p_zero, regime_row
-from .numcore import AccuracyError, DomainError, Quadrature, find_root
+from .moments import ExtendedP, lambda_p, regime_row
+from .numcore import AccuracyError, DomainError, Quadrature, expand_bracket, find_root
 from .hypotest import pmean
 
 # psi'(1/2), psi''(1/2), psi'''(1/2) for the ln r Taylor branch at p = 0
@@ -38,32 +38,25 @@ class IndeterminateGrowthError(RuntimeError):
     """Growth-exponent regression landed inside the dead band; no verdict."""
 
 
+def _ln_r(p) -> np.ndarray:
+    """ln r(p), by its Taylor series around the removable point p = 0."""
+    p = np.asarray(p, dtype=float)
+    lnr = gammaln(0.5) + gammaln(p + 0.5) - 2.0 * gammaln((p + 1.0) / 2.0)
+    small = np.abs(p) < 1e-3
+    if np.any(small):
+        ps = np.where(small, p, 0.0)
+        series = (_PSI1_HALF / 4.0) * ps ** 2 + (_PSI2_HALF / 8.0) * ps ** 3 \
+            + (7.0 * _PSI3_HALF / 192.0) * ps ** 4
+        lnr = np.where(small, series, lnr)
+    return lnr
+
+
 def gamma_ratio(p) -> np.ndarray:
     """r(p) = Gamma(1/2) Gamma(p+1/2) / Gamma((p+1)/2)^2 for p > -1/2."""
-    p = np.asarray(p, dtype=float)
-    if np.any(p <= -0.5):
+    if np.any(np.asarray(p, dtype=float) <= -0.5):
         raise DomainError("gamma_ratio requires p > -1/2")
-    lnr = gammaln(0.5) + gammaln(p + 0.5) - 2.0 * gammaln((p + 1.0) / 2.0)
-    small = np.abs(p) < 1e-3
-    if np.any(small):
-        ps = np.where(small, p, 0.0)
-        series = (_PSI1_HALF / 4.0) * ps ** 2 + (_PSI2_HALF / 8.0) * ps ** 3 \
-            + (7.0 * _PSI3_HALF / 192.0) * ps ** 4
-        lnr = np.where(small, series, lnr)
-    out = np.exp(lnr)
+    out = np.exp(_ln_r(p))
     return float(out) if out.ndim == 0 else out
-
-
-def _expm1_lnr(p) -> np.ndarray:
-    p = np.asarray(p, dtype=float)
-    lnr = gammaln(0.5) + gammaln(p + 0.5) - 2.0 * gammaln((p + 1.0) / 2.0)
-    small = np.abs(p) < 1e-3
-    if np.any(small):
-        ps = np.where(small, p, 0.0)
-        series = (_PSI1_HALF / 4.0) * ps ** 2 + (_PSI2_HALF / 8.0) * ps ** 3 \
-            + (7.0 * _PSI3_HALF / 192.0) * ps ** 4
-        lnr = np.where(small, series, lnr)
-    return np.expm1(lnr)
 
 
 def a_p(p) -> float:
@@ -77,7 +70,7 @@ def a_p(p) -> float:
         return 2.0 / math.pi
     if v <= -0.5 or v == math.inf:
         return 0.0
-    return abs(v) / math.sqrt(2.0 * float(_expm1_lnr(v)))
+    return abs(v) / math.sqrt(2.0 * float(np.expm1(_ln_r(v))))
 
 
 def a_p_moment_route(p: float, quad: Quadrature = Quadrature()) -> float:
@@ -155,7 +148,7 @@ def verify_ap_bound(p_grid) -> ApBoundReport:
     if np.any(grid == 0.0) or np.any(grid == 2.0):
         raise DomainError("grid must exclude the equality points 0 and 2")
     bound = 1.0 + grid ** 2 / 2.0
-    r = 1.0 + _expm1_lnr(grid)
+    r = 1.0 + np.expm1(_ln_r(grid))
     rbest = np.maximum(np.maximum(r1(grid), r2(grid)), r3(grid))
     r_margin = r - bound
     part_margin = rbest - bound
@@ -187,31 +180,17 @@ def ap_curve(p_samples, with_transform: bool = False) -> np.ndarray:
 # The ||.||_{p,2} functional
 # ---------------------------------------------------------------------------
 
-def _g_fn(p: float) -> tuple[Callable[[np.ndarray], np.ndarray], float]:
-    """(g_p vectorized over |s|, sup g_p); p in (-1/2, 2)."""
+def _log_g(p: float, row) -> Callable[[np.ndarray], np.ndarray]:
+    """l -> g_p(e^l) for p in (-1/2, 2), taking l = ln|s| so that nothing
+    overflows however small t gets."""
     if p == 0.0:
-        def g(s):
-            s = np.abs(np.asarray(s, dtype=float))
-            return np.where(s <= math.e, s ** 2 / math.e ** 2,
-                            np.log(np.maximum(s, 1e-300)))
-        return g, math.inf
-    if 0.0 < p < 2.0:
-        def g(s, _p=p):
-            s = np.abs(np.asarray(s, dtype=float))
-            return np.where(s <= 1.0, s ** 2, s ** _p)
-        return g, math.inf
+        # s^2 / e^2 up to s = e, ln s beyond
+        return lambda l: np.where(l <= 1.0, np.exp(2.0 * np.minimum(l, 1.0) - 2.0), l)
+    if p > 0.0:
+        # s^2 up to s = 1, s^p beyond
+        return lambda l: np.exp(np.where(l <= 0.0, 2.0 * l, p * l))
     # p in (-1/2, 0): g_p = f_p = lambda_p(0) - lambda_p(s), bounded by lambda_p(0)
-    lam0 = lambda_p_zero(p)
-
-    def g(s, _p=p, _l=lam0):
-        arr = np.abs(np.asarray(s, dtype=float))
-        scalar = arr.ndim == 0
-        arr = np.atleast_1d(arr)
-        vals, inv = np.unique(arr, return_inverse=True)
-        out = np.array([_l - lambda_p(_p, float(v)) for v in vals])[inv]
-        return float(out[0]) if scalar else out.reshape(np.shape(s))
-
-    return g, lam0
+    return lambda l: row.f(np.exp(l))
 
 
 def orlicz_norm(p: float, alpha: float, beta: float, v) -> float:
@@ -223,19 +202,22 @@ def orlicz_norm(p: float, alpha: float, beta: float, v) -> float:
     if v.ndim != 1 or v.size == 0:
         raise DomainError("v must be a nonempty vector")
     d = v.size
-    budget = regime_row(p, alpha, beta, max(d, 2)).K(alpha, beta) * math.sqrt(d)
-    nz = v[v != 0.0]
+    row = regime_row(p, alpha, max(d, 2))
+    budget = row.K(beta) * math.sqrt(d)
+    nz = np.abs(v[v != 0.0])
     if nz.size == 0:
         return 0.0
-    g, gsup = _g_fn(p)
-    if nz.size * gsup <= budget:
+    if nz.size * row.f_sup <= budget:
         return 0.0
+    vals, counts = np.unique(nz, return_counts=True)
+    logs = np.log(vals)
+    g = _log_g(p, row)
 
     def excess(log_t):
-        return float(np.sum(g(nz / math.exp(log_t)))) - budget
+        return float(np.dot(counts, g(logs - log_t))) - budget
 
-    lo = math.log(np.abs(nz).max()) - 40.0
-    hi = math.log(np.abs(nz).max()) + 5.0
+    lo = logs[-1] - 40.0
+    hi = logs[-1] + 5.0
     while excess(hi) > 0.0:
         hi += 5.0
     while excess(lo) < 0.0:
@@ -382,9 +364,8 @@ def attaining_sequence(p: float, target: float, alpha: float, beta: float) -> Di
     if not lo_val < target < hi_val:
         raise DomainError(f"target {target} outside the attainable open interval "
                           f"({lo_val}, {hi_val}) for p={p}")
-    row2 = regime_row(2.0, alpha, beta, 2)
-    rowp = regime_row(p, alpha, beta, 2)
-    K2, Kp = row2.K(alpha, beta), rowp.K(alpha, beta)
+    rowp = regime_row(p, alpha, 2)
+    K2, Kp = regime_row(2.0, alpha, 2).K(beta), rowp.K(beta)
 
     def ratio(s):
         return K2 * float(rowp.f(s)) / (Kp * s * s)
@@ -551,10 +532,7 @@ def are_finite(p, d: int, u, alpha: float, beta: float,
         def power_gap(t):
             return (1.0 - _prob_le(pp, t * u, c, tol=tol)) - beta
 
-        t_hi = 1.0
-        while power_gap(t_hi) < 0.0:
-            t_hi *= 2.0
-        return find_root(power_gap, 0.0, t_hi, tol=1e-13)
+        return find_root(power_gap, *expand_bracket(power_gap), tol=1e-13)
 
     t2 = solve_for(2.0)
     tp = solve_for(ExtendedP.of(p).value)

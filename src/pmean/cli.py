@@ -228,14 +228,15 @@ def _dispatch(args, out) -> int:
     if args.cmd == "critval":
         cfg = _config_dict(args, ["p", "d", "alpha", "method", "reps", "seed", "stream",
                                   "threads", "format"])
-        cv = critical_value(parse_p(args.p), args.d, args.alpha, method=args.method,
-                            reps=args.reps, rng=RngStream(args.seed, args.stream))
-        res = {"critical_value": cv.value, "method": cv.method}
-        diag = {}
-        if cv.half_width is not None:
-            diag["half_width"] = cv.half_width
-            diag["reps"] = cv.reps
-        _emit_json(out, cfg, res, diag)
+        p = parse_p(args.p)
+        if args.method == "mc":
+            r = empirical_critval(p, args.d, args.alpha, args.reps,
+                                  RngStream(args.seed, args.stream), threads=threads)
+            _emit_json(out, cfg, {"critical_value": r.estimate, "method": "mc"},
+                       {"half_width": r.half_width, "reps": r.reps})
+        else:
+            cv = critical_value(p, args.d, args.alpha)
+            _emit_json(out, cfg, {"critical_value": cv.value, "method": cv.method})
         return 0
 
     if args.cmd == "power":

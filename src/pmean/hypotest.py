@@ -8,8 +8,8 @@ units.  For p < 0 the rejection region flips once through the p-th power:
 
     <z>_p > c   <=>   sum_j |z_j|^p < d c^p,
 
-so the limit quantile enters at level alpha (not 1 - alpha); the algebra per
-regime is spelled out in ``critical_value``.
+so the limit quantile enters at level alpha (not 1 - alpha); the algebra is
+in ``moments`` with the regime table.
 """
 
 from __future__ import annotations
@@ -19,11 +19,9 @@ from dataclasses import dataclass
 from typing import Optional, Union
 
 import numpy as np
-from scipy.special import ndtr, ndtri
 
-from .moments import ExtendedP, Regime, RegimeRow, b_p, c_crit_inf, lambda_p_zero, log_moment, mu_tilde, regime_row
-from .numcore import BracketError, ConfigError, DomainError, RngStream, find_root
-from .stable import StableLaw, stable_cdf, stable_quantile
+from .moments import ExtendedP, regime_row
+from .numcore import AccuracyError, ConfigError, DomainError, RngStream, expand_bracket, find_root
 
 
 class InfeasibleError(ValueError):
@@ -57,18 +55,30 @@ def pmean_rows(p, x: np.ndarray) -> np.ndarray:
     if pv == -math.inf:
         return x.min(axis=1)
     with np.errstate(divide="ignore"):
-        logs = np.log(x)
-    if pv == 0.0:
-        return np.exp(np.mean(logs, axis=1))
+        return _pmean_from_logs(pv, np.log(x))
+
+
+def _log_power_sum(pv: float, logs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(m, s) with sum_j |x_j|^p = e^m s per row, from logs = ln|x| and
+    finite p != 0, by log-sum-exp; m is infinite on rows whose sum is 0 or
+    infinite, and s is then NaN."""
     a = pv * logs
     m = a.max(axis=1)
     with np.errstate(invalid="ignore"):
-        out = np.exp((m + np.log(np.mean(np.exp(a - m[:, None]), axis=1))) / pv)
-    # all-zero rows: max is -inf, exp(nan) above; the p-mean is 0
-    out = np.where(np.isfinite(m), out, 0.0)
-    if pv < 0.0:
-        out = np.where((x == 0.0).any(axis=1), 0.0, out)
-    return out
+        s = np.sum(np.exp(a - m[:, None]), axis=1)
+    return m, s
+
+
+def _pmean_from_logs(pv: float, logs: np.ndarray) -> np.ndarray:
+    """Row-wise p-means for finite p from logs = ln|x|."""
+    if pv == 0.0:
+        return np.exp(np.mean(logs, axis=1))
+    m, s = _log_power_sum(pv, logs)
+    with np.errstate(invalid="ignore"):
+        out = np.exp((m + np.log(s / logs.shape[1])) / pv)
+    # m is +inf where a zero coordinate meets p < 0 and -inf on all-zero rows
+    # with p > 0: the p-mean is 0 on both
+    return np.where(np.isfinite(m), out, 0.0)
 
 
 def decide(p, c: float, n: int, sample_mean) -> bool:
@@ -126,11 +136,15 @@ class TestPlan:
     @property
     def direction(self) -> np.ndarray:
         """theta1 normalized to a <.>_2-unit vector."""
-        norm = pmean(2.0, self.theta1)
-        if norm == 0.0:
+        # dividing by max |theta_j| first keeps <.>_2 clear of under- and overflow
+        top = float(np.max(np.abs(self.theta1)))
+        if top == 0.0:
             return np.zeros_like(self.theta1)
-        u = self.theta1 / norm
-        assert abs(pmean(2.0, u) - 1.0) <= 1e-12
+        v = self.theta1 / top
+        u = v / pmean(2.0, v)
+        norm = pmean(2.0, u)
+        if abs(norm - 1.0) > 1e-12:
+            raise AccuracyError("direction is not <.>_2-unit after normalization", norm, 1e-12)
         return u
 
 
@@ -149,119 +163,32 @@ class CriticalValue:
         return self.value
 
 
-def _stable_alpha_quantile(p: float, alpha: float) -> float:
-    return stable_quantile(StableLaw(p, b_p(p)), alpha)
-
-
 def critical_value(p, d: int, alpha: float, method: str = "asymptotic",
                    reps: int = 100_000, rng: Optional[RngStream] = None) -> CriticalValue:
     """Size-alpha critical value for <Z>_p in <.>_p units.
 
-    ``asymptotic`` uses the per-regime limit law; ``mc`` uses the empirical
-    (1 - alpha)-quantile of <Z>_p with an order-statistic CI.
+    ``asymptotic`` reads the regime row's limit law; ``mc`` is
+    ``mc.empirical_critval``: the empirical (1 - alpha)-quantile of <Z>_p
+    with an order-statistic CI.
     """
     ep = ExtendedP.of(p)
     if not 0.0 < alpha < 1.0:
         raise DomainError(f"alpha must be in (0,1), got {alpha}")
     if d < 1:
         raise DomainError(f"d must be >= 1, got {d}")
-
     if method == "mc":
-        if reps < 1000:
-            raise ConfigError(f"MonteCarlo critical value needs reps >= 1000, got {reps}")
-        if rng is None:
-            rng = RngStream(0, 0)
-        stats = _null_statistics(ep, d, reps, rng)
-        stats.sort()
-        k = int(math.ceil((1.0 - alpha) * reps)) - 1
-        k = min(max(k, 0), reps - 1)
-        spread = 1.959964 * math.sqrt(reps * alpha * (1.0 - alpha))
-        lo = stats[max(0, k - int(spread) - 1)]
-        hi = stats[min(reps - 1, k + int(spread) + 1)]
-        return CriticalValue(float(stats[k]), "mc", half_width=float(hi - lo) / 2.0, reps=reps)
+        from .mc import empirical_critval   # mc imports this module
 
+        r = empirical_critval(ep, d, alpha, reps, rng if rng is not None else RngStream(0, 0))
+        return CriticalValue(r.estimate, "mc", half_width=r.half_width, reps=reps)
     if method != "asymptotic":
         raise ConfigError(f"unknown critical-value method {method!r}")
-
-    reg = ep.regime
-    pv = ep.value
-    zq = ndtri(1.0 - alpha)
-
-    if reg is Regime.POS_INF:
-        return CriticalValue(c_crit_inf(d, alpha), "asymptotic")
-    if reg is Regime.NEG_INF:
-        return CriticalValue(-math.log(alpha) * math.sqrt(2.0 * math.pi) / (2.0 * d), "asymptotic")
-    if reg is Regime.ZERO_TO_INF:
-        base = lambda_p_zero(pv) + zq * math.sqrt((lambda_p_zero(2 * pv) - lambda_p_zero(pv) ** 2) / d)
-        return CriticalValue(base ** (1.0 / pv), "asymptotic")
-    if reg is Regime.ZERO:
-        return CriticalValue(math.exp(log_moment(1, 0.0) + zq * math.sqrt(log_moment(2, 0.0) / d)),
-                             "asymptotic")
-    if reg is Regime.NEG_HALF_TO_ZERO:
-        base = lambda_p_zero(pv) - zq * math.sqrt((lambda_p_zero(2 * pv) - lambda_p_zero(pv) ** 2) / d)
-        if base <= 0:
-            raise DomainError(f"d={d} too small for the p={pv} asymptotic critical value")
-        return CriticalValue(base ** (1.0 / pv), "asymptotic")
-    if reg is Regime.NEG_HALF:
-        base = lambda_p_zero(-0.5) - zq * (2.0 / math.pi) ** 0.25 * math.sqrt(math.log(d) / d)
-        if base <= 0:
-            raise DomainError(f"d={d} too small for the p=-1/2 asymptotic critical value")
-        return CriticalValue(base ** -2.0, "asymptotic")
-    if reg is Regime.NEG_ONE_TO_NEG_HALF:
-        qa = _stable_alpha_quantile(pv, alpha)
-        base = lambda_p_zero(pv) + qa * d ** (abs(pv) - 1.0)
-        if base <= 0:
-            raise DomainError(f"d={d} too small for the p={pv} asymptotic critical value")
-        return CriticalValue(base ** (1.0 / pv), "asymptotic")
-    if reg is Regime.NEG_ONE:
-        qa = _stable_alpha_quantile(-1.0, alpha)
-        base = mu_tilde(d, 0.0) + qa
-        if base <= 0:
-            raise DomainError(f"d={d} too small for the p=-1 asymptotic critical value")
-        return CriticalValue(1.0 / base, "asymptotic")
-    # Regime.BELOW_NEG_ONE: sum |Z_j|^p / d^{|p|} -> zeta, no centering
-    qa = _stable_alpha_quantile(pv, alpha)
-    return CriticalValue(qa ** (1.0 / pv) * d ** (-(1.0 + pv) / pv), "asymptotic")
-
-
-def _null_statistics(ep: ExtendedP, d: int, reps: int, rng: RngStream,
-                     chunk_rows: int = 65536) -> np.ndarray:
-    """reps draws of <Z>_p, chunked to bound memory."""
-    chunk_rows = max(1, min(chunk_rows, max(1, 2 ** 22 // max(d, 1))))
-    out = np.empty(reps)
-    gen = rng.generator()
-    done = 0
-    while done < reps:
-        m = min(chunk_rows, reps - done)
-        z = gen.standard_normal((m, d))
-        out[done:done + m] = pmean_rows(ep, z)
-        done += m
-    return out
+    return CriticalValue(regime_row(ep, alpha, d).critical(), "asymptotic")
 
 
 # ---------------------------------------------------------------------------
 # Power, sample size, feasibility
 # ---------------------------------------------------------------------------
-
-def _solve_beta(row: RegimeRow, alpha: float, R: float) -> float:
-    """Invert K_{alpha,beta} = R for beta on the row's limit-law scale."""
-    reg = row.regime
-    if reg is Regime.NEG_INF:
-        return alpha ** R
-    if reg is Regime.POS_INF:
-        return 1.0 - (1.0 - alpha) * math.exp(-R)
-    if reg is Regime.BELOW_NEG_ONE:
-        law = StableLaw(row.p, row.b)
-        qa = stable_quantile(law, alpha)
-        return float(stable_cdf(law, qa * R ** row.p))
-    if reg in (Regime.NEG_ONE, Regime.NEG_ONE_TO_NEG_HALF):
-        law = StableLaw(row.p, row.b)
-        qa = stable_quantile(law, alpha)
-        return float(stable_cdf(law, qa + R))
-    # CLT rows; K = (z_beta - z_alpha) * sd
-    sd = row.K(0.25, 0.75) / (ndtri(0.75) - ndtri(0.25))
-    return float(ndtr(ndtri(alpha) + R / sd))
-
 
 def power_asymptotic(p, d: int, alpha: float, shift) -> float:
     """Asymptotic power of the size-alpha test against the shift s = sqrt(n) theta_1,
@@ -269,12 +196,8 @@ def power_asymptotic(p, d: int, alpha: float, shift) -> float:
     sv = shift if isinstance(shift, ShiftVector) else ShiftVector(np.asarray(shift, dtype=float))
     if len(sv) != d:
         raise DomainError(f"shift dimension {len(sv)} != d = {d}")
-    if not 0.0 < alpha < 1.0:
-        raise DomainError(f"alpha must be in (0,1), got {alpha}")
-    # beta plays no role when solving *for* beta; the row only needs a valid pair
-    row = regime_row(p, alpha, (1.0 + alpha) / 2.0, d)
-    R = float(np.sum(row.f(sv.entries))) / row.kappa(d)
-    return _solve_beta(row, alpha, R)
+    row = regime_row(p, alpha, d)
+    return row.power(row.shift_sum(sv.entries)(1.0) / row.kappa(d))
 
 
 @dataclass(frozen=True)
@@ -288,23 +211,24 @@ class Feasibility:
 def feasibility(plan: TestPlan, slack: float = 0.0) -> Feasibility:
     """Whether the direction of theta1 can reach power beta at size alpha.
 
-    Always feasible for p >= 0.  For p < 0, compares the exact zero count
-    d_0(u) against the sharp threshold of the matching regime line; ``slack``
-    loosens the comparison multiplicatively (the theory carries o(1) terms)."""
-    ep = plan.p
+    Each of the d_0(u) exact zeros of the direction contributes f(0) to the
+    shift sum and every other coordinate can contribute up to f(inf), so the
+    sum reaches K kappa_p(d) iff d_0 is at most the sharp threshold
+    d - (K kappa - d f(0)) / (f(inf) - f(0)); that is d for p >= 0, where f is
+    unbounded.  ``slack`` loosens the comparison multiplicatively (the theory
+    carries o(1) terms)."""
     d = plan.d
     u = plan.direction
     d0 = int(np.count_nonzero(u == 0.0))
-    if ep.value >= 0.0:
-        return Feasibility(True, float(d), d0, "p >= 0: every nonzero direction is feasible")
-    row = regime_row(ep, plan.alpha, plan.beta, d)
-    K = row.K(plan.alpha, plan.beta)
-    if ep.regime in (Regime.NEG_INF, Regime.BELOW_NEG_ONE):
-        thr = K * d
+    row = regime_row(plan.p, plan.alpha, d)
+    K, kappa, f0 = row.K(plan.beta), row.kappa(d), row.f_at_zero
+    thr = d - (K * kappa - d * f0) / (row.f_at_inf - f0)
+    if math.isinf(row.f_at_inf):
+        detail = "p >= 0: every nonzero direction is feasible"
+    elif f0 > row.f_at_inf:
         detail = f"d_0 <= K*d with K={K:.6g}"
     else:
-        thr = d - K * row.kappa(d) / row.f_sup
-        detail = f"d_0 <= d - K*kappa/f_sup, K={K:.6g}, kappa={row.kappa(d):.6g}, sup f={row.f_sup:.6g}"
+        detail = f"d_0 <= d - K*kappa/f_sup, K={K:.6g}, kappa={kappa:.6g}, sup f={row.f_sup:.6g}"
     ok = d0 <= thr * (1.0 + slack) if thr >= 0 else False
     return Feasibility(bool(ok), float(thr), d0, detail)
 
@@ -312,39 +236,28 @@ def feasibility(plan: TestPlan, slack: float = 0.0) -> Feasibility:
 def as_shift_scale(plan: TestPlan, slack: float = 0.0) -> float:
     """The scalar t* > 0 with sum_j f_p(t* theta_j) = K kappa_p(d); the
     asymptotically sufficient shift in the direction of theta1 is t* theta1."""
-    ep = plan.p
     if not np.any(plan.theta1 != 0.0):
         raise DomainError("theta1 must be nonzero")
     feas = feasibility(plan, slack=slack)
     if not feas.feasible:
         if feas.threshold < 0:
-            # only the d - K*kappa/f_sup rows go negative: even d_0 = 0 falls short
+            # only rows with f bounded above go negative: even d_0 = 0 falls short
             why = (f"no direction reaches beta={plan.beta} at d={plan.d}, since "
                    f"K*kappa/f_sup = {plan.d - feas.threshold:.6g} > d")
         else:
             why = f"direction infeasible: d_0={feas.d0} exceeds threshold {feas.threshold:.6g}"
-        raise InfeasibleError(f"p={ep.value}: {why} ({feas.detail})", feas.threshold, feas.d0)
-    row = regime_row(ep, plan.alpha, plan.beta, plan.d)
-    target = row.K(plan.alpha, plan.beta) * row.kappa(plan.d)
-    theta = plan.theta1
+        raise InfeasibleError(f"p={plan.p.value}: {why} ({feas.detail})", feas.threshold, feas.d0)
+    row = regime_row(plan.p, plan.alpha, plan.d)
+    target = row.K(plan.beta) * row.kappa(plan.d)
+    shift_sum = row.shift_sum(plan.theta1)
 
     def g(t):
-        return float(np.sum(row.f(t * theta))) - target
+        return shift_sum(t) - target
 
-    increasing = ep.regime not in (Regime.NEG_INF, Regime.BELOW_NEG_ONE)
-    g0 = g(0.0)
-    t_hi = 1.0
-    for _ in range(200):
-        gt = g(t_hi)
-        if (gt >= 0.0) if increasing else (gt <= 0.0):
-            break
-        t_hi *= 2.0
-    else:
-        raise BracketError("could not bracket the sufficient-shift equation; "
-                           "direction may be borderline infeasible")
-    if (g0 > 0 and g(t_hi) > 0) or (g0 < 0 and g(t_hi) < 0):
-        raise BracketError("sufficient-shift equation has no sign change on the bracket")
-    return find_root(g, 0.0, t_hi, tol=1e-12)
+    # double t for as long as t max|theta_j| stays finite
+    _, exponent = math.frexp(float(np.max(np.abs(plan.theta1))))
+    lo, hi = expand_bracket(g, max_iter=min(1024, 1025 - exponent))
+    return find_root(g, lo, hi, tol=1e-12)
 
 
 def sample_size(plan: TestPlan, slack: float = 0.0) -> int:
@@ -360,6 +273,6 @@ def as_shift_residual(p, d: int, alpha: float, beta: float, s) -> float:
     sv = s if isinstance(s, ShiftVector) else ShiftVector(np.asarray(s, dtype=float))
     if len(sv) != d:
         raise DomainError(f"shift dimension {len(sv)} != d = {d}")
-    row = regime_row(p, alpha, beta, d)
-    K = row.K(alpha, beta)
-    return (float(np.sum(row.f(sv.entries))) - K * row.kappa(d)) / row.kappa(d)
+    row = regime_row(p, alpha, d)
+    kappa = row.kappa(d)
+    return (row.shift_sum(sv.entries)(1.0) - row.K(beta) * kappa) / kappa

@@ -15,12 +15,10 @@ from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
-from scipy.special import ndtr
 
-from .hypotest import pmean_rows
-from .moments import ExtendedP, Regime, b_p, lambda_p_zero, log_moment, mu_tilde
+from .hypotest import _log_power_sum, _pmean_from_logs, pmean_rows
+from .moments import ExtendedP, limit_law
 from .numcore import ConfigError, DomainError, RngStream
-from .stable import StableLaw, stable_cdf
 
 Z95 = 1.959963984540054
 
@@ -95,7 +93,13 @@ def empirical_critval(p, d: int, alpha: float, reps: int, rng: RngStream,
         z = rng.substream(i).generator().standard_normal((m, d))
         return pmean_rows(ep, z)
 
-    stats = np.concatenate(_run_chunks(one, sizes, threads))
+    return _upper_quantile(np.concatenate(_run_chunks(one, sizes, threads)), alpha, rng)
+
+
+def _upper_quantile(stats: np.ndarray, alpha: float, rng: RngStream) -> MCResult:
+    """Empirical (1-alpha)-quantile of the draws, with the 95% CI half-width
+    from binomial order statistics; sorts ``stats`` in place."""
+    reps = stats.size
     stats.sort()
     k = min(max(int(math.ceil((1.0 - alpha) * reps)) - 1, 0), reps - 1)
     spread = int(math.ceil(Z95 * math.sqrt(reps * alpha * (1.0 - alpha))))
@@ -106,21 +110,18 @@ def empirical_critval(p, d: int, alpha: float, reps: int, rng: RngStream,
 
 def _stat_rows_multi(eps: Sequence[ExtendedP], z: np.ndarray) -> list[np.ndarray]:
     """<.>_p row statistics for several p, sharing log|z|."""
+    az = np.abs(z)
     with np.errstate(divide="ignore"):
-        logs = np.log(np.abs(z))
+        logs = np.log(az)
     out = []
     for ep in eps:
         pv = ep.value
         if pv == math.inf:
-            out.append(np.abs(z).max(axis=1))
+            out.append(az.max(axis=1))
         elif pv == -math.inf:
-            out.append(np.abs(z).min(axis=1))
-        elif pv == 0.0:
-            out.append(np.exp(logs.mean(axis=1)))
+            out.append(az.min(axis=1))
         else:
-            a = pv * logs
-            mx = a.max(axis=1)
-            out.append(np.exp((mx + np.log(np.mean(np.exp(a - mx[:, None]), axis=1))) / pv))
+            out.append(_pmean_from_logs(pv, logs))
     return out
 
 
@@ -138,17 +139,8 @@ def empirical_critval_multi(ps: Sequence, d: int, alpha: float, reps: int,
         return _stat_rows_multi(eps, z)
 
     parts = _run_chunks(one, sizes, threads)
-    k = min(max(int(math.ceil((1.0 - alpha) * reps)) - 1, 0), reps - 1)
-    spread = int(math.ceil(Z95 * math.sqrt(reps * alpha * (1.0 - alpha))))
-    out = {}
-    for j, ep in enumerate(eps):
-        stats = np.concatenate([part[j] for part in parts])
-        stats.sort()
-        lo = stats[max(0, k - spread)]
-        hi = stats[min(reps - 1, k + spread)]
-        out[ep.value] = MCResult(float(stats[k]), float(hi - lo) / 2.0, reps,
-                                 rng.seed, rng.stream)
-    return out
+    return {ep.value: _upper_quantile(np.concatenate([part[j] for part in parts]), alpha, rng)
+            for j, ep in enumerate(eps)}
 
 
 def empirical_size_multi(ps: Sequence, d: int, crit: dict, reps: int, rng: RngStream,
@@ -199,19 +191,17 @@ class LimitLawFit:
 def limit_law_ks(p, d: int, nrep: int, rng: RngStream, threads: int = 1) -> LimitLawFit:
     """KS distance between the regime-normalized statistic and its limit law.
 
-    The statistic is sum_j |Z_j|^p (log-mean for p = 0, min/max at the
-    endpoints), centered and scaled per the regime normalization.
+    The statistic is sum_j |Z_j|^p (log-sum for p = 0, min/max at the
+    endpoints), centered and scaled as the regime's ``moments.limit_law`` says.
     """
     if nrep < 100:
         raise ConfigError(f"limit_law_ks needs nrep >= 100, got {nrep}")
-    ep = ExtendedP.of(p)
-    reg = ep.regime
-    pv = ep.value
+    pv = ExtendedP.of(p).value
+    law = limit_law(pv, d)
     sizes = _chunk_plan(nrep, d)
 
     def sums(i: int, m: int) -> np.ndarray:
-        z = rng.substream(i).generator().standard_normal((m, d))
-        az = np.abs(z)
+        az = np.abs(rng.substream(i).generator().standard_normal((m, d)))
         if pv == math.inf:
             return az.max(axis=1)
         if pv == -math.inf:
@@ -220,44 +210,12 @@ def limit_law_ks(p, d: int, nrep: int, rng: RngStream, threads: int = 1) -> Limi
             logs = np.log(az)
         if pv == 0.0:
             return logs.sum(axis=1)
-        a = pv * logs
-        mx = a.max(axis=1)
-        return np.exp(mx + np.log(np.sum(np.exp(a - mx[:, None]), axis=1)))
+        mx, s = _log_power_sum(pv, logs)
+        return np.exp(mx + np.log(s))
 
     t = np.concatenate(_run_chunks(sums, sizes, threads))
-
-    if reg is Regime.POS_INF:
-        cdf = lambda x: np.power(np.clip(2.0 * ndtr(x) - 1.0, 0.0, 1.0), d)
-        return LimitLawFit(pv, d, nrep, ks_distance(t, cdf), "exact extreme-value (max)")
-    if reg is Regime.NEG_INF:
-        cdf = lambda x: 1.0 - np.power(np.clip(2.0 * (1.0 - ndtr(x)), 0.0, 1.0), d)
-        return LimitLawFit(pv, d, nrep, ks_distance(t, cdf), "exact extreme-value (min)")
-    if reg is Regime.BELOW_NEG_ONE:
-        law = StableLaw(pv, b_p(pv))
-        stat = t / d ** abs(pv)
-        return LimitLawFit(pv, d, nrep, ks_distance(stat, lambda x: stable_cdf(law, x)),
-                           f"stable index {-1.0/pv:g}")
-    if reg is Regime.NEG_ONE:
-        law = StableLaw(-1.0, b_p(-1.0))
-        stat = (t - d * mu_tilde(d, 0.0)) / d
-        return LimitLawFit(pv, d, nrep, ks_distance(stat, lambda x: stable_cdf(law, x)),
-                           "stable index 1")
-    if reg is Regime.NEG_ONE_TO_NEG_HALF:
-        law = StableLaw(pv, b_p(pv))
-        stat = (t - d * lambda_p_zero(pv)) / d ** abs(pv)
-        return LimitLawFit(pv, d, nrep, ks_distance(stat, lambda x: stable_cdf(law, x)),
-                           f"stable index {-1.0/pv:g}")
-    if reg is Regime.NEG_HALF:
-        scale = (2.0 / math.pi) ** 0.25 * math.sqrt(d * math.log(d))
-        stat = (t - d * lambda_p_zero(-0.5)) / scale
-        return LimitLawFit(pv, d, nrep, ks_distance(stat, ndtr), "normal (d ln d rate)")
-    if reg is Regime.ZERO:
-        stat = (t - d * log_moment(1, 0.0)) / math.sqrt(d * log_moment(2, 0.0))
-        return LimitLawFit(pv, d, nrep, ks_distance(stat, ndtr), "normal (log-mean CLT)")
-    lam0 = lambda_p_zero(pv)
-    var0 = lambda_p_zero(2.0 * pv) - lam0 ** 2
-    stat = (t - d * lam0) / math.sqrt(d * var0)
-    return LimitLawFit(pv, d, nrep, ks_distance(stat, ndtr), "normal (CLT)")
+    stat = (t - d * law.center) / law.scale
+    return LimitLawFit(pv, d, nrep, ks_distance(stat, law.cdf), law.name)
 
 
 # ---------------------------------------------------------------------------

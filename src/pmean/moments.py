@@ -8,9 +8,11 @@ The central objects are the moment functions
     mu_tilde_d(s) = E(|Z+s|^{-1} /\\ d)
     lambda_inf(s) = -ln P(|Z+s| <= c_{d,alpha})
 
-and the regime table mapping each exponent p in [-inf, inf] to the triple
-(f_p, kappa_p, K_{alpha,beta;p}) that characterizes asymptotically sufficient
-shifts through  sum_j f_p(s_j) ~ K * kappa_p(d).
+and the regime table: one row per regime of the exponent p in [-inf, inf],
+holding f_p, kappa_p and K_{alpha,beta;p}, which characterize asymptotically
+sufficient shifts through  sum_j f_p(s_j) ~ K * kappa_p(d), together with
+the limit law of the test statistic, its centering and scale, and what
+follows from them: the power reached by a shift and the critical value.
 """
 
 from __future__ import annotations
@@ -20,12 +22,13 @@ import math
 import warnings
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
-from scipy.special import gammaln, log_ndtr, ndtri
+from scipy.special import gammaln, log_ndtr, ndtr, ndtri
 
 from .numcore import DEFAULT_QUAD, DomainError, Quadrature, gauss_expect
+from .stable import StableLaw, stable_cdf, stable_quantile
 
 SQRT_2_OVER_PI = math.sqrt(2.0 / math.pi)
 
@@ -194,19 +197,19 @@ def c_crit_inf(d: int, alpha: float) -> float:
     return math.sqrt(2.0 * math.log(arg))
 
 
-def _log_prob_abs_le(c: float, s: float) -> float:
-    """ln P(|Z+s| <= c), stable far into the tails."""
-    s = abs(s)
+def _log_prob_abs_le(c: float, s):
+    """ln P(|Z+s| <= c) elementwise, stable far into the tails."""
+    s = np.abs(s)
     hi = log_ndtr(c - s)
     lo = log_ndtr(-c - s)
     # ln(e^hi - e^lo)
-    return hi + math.log1p(-math.exp(min(lo - hi, -1e-300)))
+    return hi + np.log1p(-np.exp(np.minimum(lo - hi, -1e-300)))
 
 
 def lambda_inf(d: int, alpha: float, s: float) -> float:
     """-ln P(|Z+s| <= c_{d,alpha})."""
     c = c_crit_inf(d, alpha)
-    return -_log_prob_abs_le(c, s)
+    return -float(_log_prob_abs_le(c, s))
 
 
 def b_p(p: float) -> float:
@@ -222,158 +225,216 @@ def b_p(p: float) -> float:
 # Regime table
 # ---------------------------------------------------------------------------
 
-def _vectorized(scalar_fn: Callable[[float], float]) -> Callable[[np.ndarray], np.ndarray]:
-    """Vectorize a scalar s->f(s) by evaluating once per distinct |s|."""
+@dataclass(frozen=True)
+class LimitLaw:
+    """The law the regime's statistic is read against.
 
-    def wrapped(s):
-        arr = np.abs(np.asarray(s, dtype=float))
-        if arr.ndim == 0:
-            return scalar_fn(float(arr))
-        vals, inverse = np.unique(arr, return_inverse=True)
-        out = np.array([scalar_fn(float(v)) for v in vals])
-        return out[inverse].reshape(arr.shape)
+    The statistic is T = sum_j t(Z_j) with t = |.|^p (ln|.| at p = 0),
+    normalized as W = (T - d center) / scale, which tends to this law.  At
+    p = +-inf, T is the extreme max_j |Z_j| or min_j |Z_j| itself and the law
+    is its exact law at d.
+    """
 
-    return wrapped
+    name: str
+    cdf: Callable
+    quantile: Callable[[float], float]
+    center: float = 0.0
+    scale: float = 1.0
+
+
+def _normal_law(name: str, center: float, scale: float) -> LimitLaw:
+    return LimitLaw(name, ndtr, lambda q: float(ndtri(q)), center, scale)
+
+
+def _stable_law(p: float, center: float, scale: float) -> LimitLaw:
+    law = StableLaw(p, b_p(p))
+    return LimitLaw(f"stable index {-1.0 / p:g}", lambda x: stable_cdf(law, x),
+                    lambda q: stable_quantile(law, q), center, scale)
+
+
+# scale / kappa of the p = -1/2 row, kept apart because kappa(1) = 0
+_NEG_HALF_SIGMA = (2.0 / math.pi) ** 0.25
+
+
+def _clt_law(p: float, d: int) -> LimitLaw:
+    lam0 = lambda_p_zero(p)
+    return _normal_law("normal (CLT)", lam0, math.sqrt(d * (lambda_p_zero(2.0 * p) - lam0 ** 2)))
+
+
+_LAWS = {
+    Regime.NEG_INF: lambda p, d: LimitLaw(
+        "exact extreme-value (min)",
+        lambda x: 1.0 - np.power(np.clip(2.0 * (1.0 - ndtr(x)), 0.0, 1.0), d),
+        lambda q: -float(ndtri((1.0 - q) ** (1.0 / d) / 2.0))),
+    Regime.BELOW_NEG_ONE: lambda p, d: _stable_law(p, 0.0, d ** abs(p)),
+    Regime.NEG_ONE: lambda p, d: _stable_law(p, mu_tilde(d, 0.0), float(d)),
+    Regime.NEG_ONE_TO_NEG_HALF: lambda p, d: _stable_law(p, lambda_p_zero(p), d ** abs(p)),
+    Regime.NEG_HALF: lambda p, d: _normal_law(
+        "normal (d ln d rate)", lambda_p_zero(p),
+        _NEG_HALF_SIGMA * math.sqrt(d * math.log(d))),
+    Regime.NEG_HALF_TO_ZERO: _clt_law,
+    Regime.ZERO: lambda p, d: _normal_law(
+        "normal (log-mean CLT)", log_moment(1, 0.0), math.sqrt(d * log_moment(2, 0.0))),
+    Regime.ZERO_TO_INF: _clt_law,
+    Regime.POS_INF: lambda p, d: LimitLaw(
+        "exact extreme-value (max)",
+        lambda x: np.power(np.clip(2.0 * ndtr(x) - 1.0, 0.0, 1.0), d),
+        lambda q: float(ndtri((1.0 + q ** (1.0 / d)) / 2.0))),
+}
+
+
+def limit_law(p, d: int) -> LimitLaw:
+    """The law, centering and scale of the statistic for the regime containing p."""
+    ep = ExtendedP.of(p)
+    return _LAWS[ep.regime](ep.value, d)
 
 
 @dataclass(frozen=True)
 class RegimeRow:
-    """One row of the regime table: f_p, kappa_p, and K_{alpha,beta;p}.
+    """One row of the regime table at (p, d, alpha).
 
-    ``f`` accepts scalars or arrays.  Rows for p = -1 and p = +inf close over
-    (d, alpha) at construction; all other rows are d-free.
+    Asymptotically sufficient shifts s satisfy sum_j f(s_j) ~ K(beta) kappa(d);
+    ``power`` inverts K, giving the power reached at R = sum_j f(s_j) / kappa(d),
+    and ``critical`` gives the asymptotic size-alpha critical value in <.>_p
+    units.  ``f`` maps an array of shifts elementwise.
     """
 
     regime: Regime
     p: float
+    d: int
+    alpha: float
     f: Callable[[np.ndarray], np.ndarray]
     kappa: Callable[[int], float]
-    K: Callable[[float, float], float]
-    b: Optional[float] = None
-    f_sup: float = math.inf      # sup_s f(s); finite for the p < 0 rows
-    f_at_zero: float = 0.0       # f(0); equals 1 on the two exponential rows
+    law: LimitLaw
+    K: Callable[[float], float]
+    power: Callable[[float], float]
+    critical: Callable[[], float]
+    f_at_zero: float = 0.0          # f(0); 1 on the two exponential rows
+    f_at_inf: float = math.inf      # lim f(s) as |s| -> inf; finite for p < 0
+
+    @property
+    def f_sup(self) -> float:
+        return max(self.f_at_zero, self.f_at_inf)
+
+    def shift_sum(self, theta) -> Callable[[float], float]:
+        """t -> sum_j f(t theta_j), evaluating f once per distinct |theta_j|."""
+        vals, counts = np.unique(np.abs(np.asarray(theta, dtype=float)), return_counts=True)
+        return lambda t: float(np.dot(counts, self.f(t * vals)))
 
 
-def _check_alpha_beta(alpha: float, beta: float) -> None:
+def _check_beta(alpha: float, beta: float) -> None:
     if not (0.0 < alpha < beta < 1.0):
         raise DomainError(f"need 0 < alpha < beta < 1, got alpha={alpha}, beta={beta}")
 
 
-def _stable_quantiles(p: float, alpha: float, beta: float) -> tuple[float, float]:
-    from .stable import StableLaw, stable_quantile
-
-    law = StableLaw(p, b_p(p))
-    return stable_quantile(law, alpha), stable_quantile(law, beta)
+def _elementwise(fn: Callable[[float], float]) -> Callable[[np.ndarray], np.ndarray]:
+    return np.vectorize(fn, otypes=[float])
 
 
-def regime_row(p, alpha: float, beta: float, d: int) -> RegimeRow:
-    """The (f_p, kappa_p, K_{alpha,beta;p}) triple for the regime containing p."""
-    _check_alpha_beta(alpha, beta)
-    ep = ExtendedP.of(p)
-    reg = ep.regime
-    pv = ep.value
+def _exponential_f(s):
+    return np.exp(-0.5 * np.square(np.asarray(s, dtype=float)))
 
-    if reg is Regime.NEG_INF:
-        def K(a, b):
-            _check_alpha_beta(a, b)
-            return math.log(b) / math.log(a)
 
-        return RegimeRow(reg, pv, lambda s: np.exp(-0.5 * np.square(np.asarray(s, dtype=float))),
-                         kappa=lambda dd: float(dd), K=K, f_sup=1.0, f_at_zero=1.0)
+def _additive(law: LimitLaw, sigma: float, alpha: float) -> dict:
+    """K and power for rows where the shift moves W by R / sigma:
+    K = (q_beta - q_alpha) sigma."""
 
-    if reg is Regime.BELOW_NEG_ONE:
-        def K(a, b, _p=pv):
-            _check_alpha_beta(a, b)
-            qa, qb = _stable_quantiles(_p, a, b)
-            return (qb / qa) ** (1.0 / _p)
+    def K(beta):
+        _check_beta(alpha, beta)
+        return (law.quantile(beta) - law.quantile(alpha)) * sigma
 
-        return RegimeRow(reg, pv, lambda s: np.exp(-0.5 * np.square(np.asarray(s, dtype=float))),
-                         kappa=lambda dd: float(dd), K=K, b=b_p(pv), f_sup=1.0, f_at_zero=1.0)
+    return dict(K=K, power=lambda R: float(law.cdf(law.quantile(alpha) + R / sigma)))
 
-    if reg is Regime.NEG_ONE:
-        mu0 = mu_tilde(d, 0.0)
-        f = _vectorized(lambda s, _d=d, _m=mu0: _m - mu_tilde(_d, s))
 
-        def K(a, b):
-            _check_alpha_beta(a, b)
-            qa, qb = _stable_quantiles(-1.0, a, b)
-            return qb - qa
+def _sum_critical(p: float, d: int, alpha: float, law: LimitLaw) -> Callable[[], float]:
+    """Critical value of a sum row: W at its size-alpha boundary, mapped back
+    through T = sum_j t(Z_j) to <.>_p units.  For p < 0 small T rejects."""
 
-        return RegimeRow(reg, pv, f, kappa=lambda dd: float(dd), K=K,
-                         b=b_p(-1.0), f_sup=mu0)
+    def critical():
+        w = law.quantile(alpha if p < 0.0 else 1.0 - alpha)
+        m = law.center + w * law.scale / d
+        if p == 0.0:
+            return math.exp(m)
+        if m <= 0.0:
+            raise DomainError(f"d={d} too small for the p={p:g} asymptotic critical value")
+        return m ** (1.0 / p)
 
-    if reg is Regime.NEG_ONE_TO_NEG_HALF:
-        lam0 = lambda_p_zero(pv)
-        f = _vectorized(lambda s, _p=pv, _l=lam0: _l - lambda_p(_p, s))
+    return critical
 
-        def K(a, b, _p=pv):
-            _check_alpha_beta(a, b)
-            qa, qb = _stable_quantiles(_p, a, b)
-            return qb - qa
 
-        return RegimeRow(reg, pv, f, kappa=lambda dd: float(dd) ** abs(pv), K=K,
-                         b=b_p(pv), f_sup=lam0)
+def _row_neg_inf(p, d, alpha, law):
+    def K(beta):
+        _check_beta(alpha, beta)
+        return math.log(beta) / math.log(alpha)
 
-    if reg is Regime.NEG_HALF:
-        lam0 = lambda_p_zero(-0.5)
-        f = _vectorized(lambda s, _l=lam0: _l - lambda_p(-0.5, s))
+    return dict(f=_exponential_f, kappa=float, K=K, power=lambda R: alpha ** R,
+                critical=lambda: -math.log(alpha) * math.sqrt(2.0 * math.pi) / (2.0 * d),
+                f_at_zero=1.0, f_at_inf=0.0)
 
-        def K(a, b):
-            _check_alpha_beta(a, b)
-            return (ndtri(b) - ndtri(a)) * (2.0 / math.pi) ** 0.25
 
-        return RegimeRow(reg, pv, f, kappa=lambda dd: math.sqrt(dd * math.log(dd)),
-                         K=K, f_sup=lam0)
+def _row_below_neg_one(p, d, alpha, law):
+    def K(beta):
+        _check_beta(alpha, beta)
+        return (law.quantile(beta) / law.quantile(alpha)) ** (1.0 / p)
 
-    if reg is Regime.NEG_HALF_TO_ZERO:
-        lam0 = lambda_p_zero(pv)
-        sd = math.sqrt(lambda_p_zero(2.0 * pv) - lam0 ** 2)
-        f = _vectorized(lambda s, _p=pv, _l=lam0: _l - lambda_p(_p, s))
+    return dict(f=_exponential_f, kappa=float, K=K,
+                power=lambda R: float(law.cdf(law.quantile(alpha) * R ** p)),
+                critical=_sum_critical(p, d, alpha, law), f_at_zero=1.0, f_at_inf=0.0)
 
-        def K(a, b, _sd=sd):
-            _check_alpha_beta(a, b)
-            return (ndtri(b) - ndtri(a)) * _sd
 
-        return RegimeRow(reg, pv, f, kappa=lambda dd: math.sqrt(dd), K=K, f_sup=lam0)
+def _bounded(p, d, alpha, law, kappa, moment, sigma):
+    """Rows p in [-1, 0): f = m(0) - m(s) for the row's shift moment m,
+    rising from 0 to its bound m(0) = law.center; sigma = law.scale / kappa(d)."""
+    top = law.center
+    return dict(f=_elementwise(lambda v: top - moment(v)), kappa=kappa,
+                critical=_sum_critical(p, d, alpha, law), f_at_inf=top,
+                **_additive(law, sigma, alpha))
 
-    if reg is Regime.ZERO:
-        tl0 = log_moment(1, 0.0)
-        sd = math.sqrt(log_moment(2, 0.0))
-        f = _vectorized(lambda s, _t=tl0: log_moment(1, s) - _t)
 
-        def K(a, b, _sd=sd):
-            _check_alpha_beta(a, b)
-            return (ndtri(b) - ndtri(a)) * _sd
+def _unbounded(p, d, alpha, law, moment):
+    """Rows p in [0, inf): f = m(s) - m(0), unbounded, with the CLT rate sqrt(d)."""
+    base = law.center
+    f = np.square if p == 2.0 else _elementwise(lambda v: moment(v) - base)
+    return dict(f=f, kappa=math.sqrt, critical=_sum_critical(p, d, alpha, law),
+                **_additive(law, law.scale / math.sqrt(d), alpha))
 
-        return RegimeRow(reg, pv, f, kappa=lambda dd: math.sqrt(dd), K=K)
 
-    if reg is Regime.ZERO_TO_INF:
-        lam0 = lambda_p_zero(pv)
-        sd = math.sqrt(lambda_p_zero(2.0 * pv) - lam0 ** 2)
-        if pv == 2.0:
-            f = lambda s: np.square(np.asarray(s, dtype=float))
-        else:
-            f = _vectorized(lambda s, _p=pv, _l=lam0: lambda_p(_p, s) - _l)
-
-        def K(a, b, _sd=sd):
-            _check_alpha_beta(a, b)
-            return (ndtri(b) - ndtri(a)) * _sd
-
-        return RegimeRow(reg, pv, f, kappa=lambda dd: math.sqrt(dd), K=K)
-
-    # Regime.POS_INF
-    lam0 = lambda_inf(d, alpha, 0.0)
+def _row_pos_inf(p, d, alpha, law):
     c = c_crit_inf(d, alpha)
+    lam0 = lambda_inf(d, alpha, 0.0)
 
-    def f_inf(s, _c=c, _l0=lam0):
-        arr = np.abs(np.asarray(s, dtype=float))
-        scalar = arr.ndim == 0
-        arr = np.atleast_1d(arr)
-        out = np.array([-_log_prob_abs_le(_c, float(v)) - _l0 for v in arr])
-        return float(out[0]) if scalar else out.reshape(np.shape(s))
+    def K(beta):
+        _check_beta(alpha, beta)
+        return math.log1p(-alpha) - math.log1p(-beta)
 
-    def K(a, b):
-        _check_alpha_beta(a, b)
-        return math.log1p(-a) - math.log1p(-b)
+    return dict(f=lambda s: -_log_prob_abs_le(c, s) - lam0,
+                kappa=lambda dd: 1.0, K=K,
+                power=lambda R: 1.0 - (1.0 - alpha) * math.exp(-R), critical=lambda: c)
 
-    return RegimeRow(reg, pv, f_inf, kappa=lambda dd: 1.0, K=K)
+
+_ROWS = {
+    Regime.NEG_INF: _row_neg_inf,
+    Regime.BELOW_NEG_ONE: _row_below_neg_one,
+    Regime.NEG_ONE: lambda p, d, a, law: _bounded(
+        p, d, a, law, float, lambda v: mu_tilde(d, v), 1.0),
+    Regime.NEG_ONE_TO_NEG_HALF: lambda p, d, a, law: _bounded(
+        p, d, a, law, lambda dd: float(dd) ** abs(p), lambda v: lambda_p(p, v), 1.0),
+    Regime.NEG_HALF: lambda p, d, a, law: _bounded(
+        p, d, a, law, lambda dd: math.sqrt(dd * math.log(dd)), lambda v: lambda_p(p, v),
+        _NEG_HALF_SIGMA),
+    Regime.NEG_HALF_TO_ZERO: lambda p, d, a, law: _bounded(
+        p, d, a, law, math.sqrt, lambda v: lambda_p(p, v), law.scale / math.sqrt(d)),
+    Regime.ZERO: lambda p, d, a, law: _unbounded(p, d, a, law, lambda v: log_moment(1, v)),
+    Regime.ZERO_TO_INF: lambda p, d, a, law: _unbounded(p, d, a, law, lambda v: lambda_p(p, v)),
+    Regime.POS_INF: _row_pos_inf,
+}
+
+
+def regime_row(p, alpha: float, d: int) -> RegimeRow:
+    """The row of the regime table containing p, at dimension d and size alpha."""
+    if not 0.0 < alpha < 1.0:
+        raise DomainError(f"alpha must be in (0,1), got {alpha}")
+    ep = ExtendedP.of(p)
+    law = _LAWS[ep.regime](ep.value, d)
+    return RegimeRow(ep.regime, ep.value, d, alpha, law=law,
+                     **_ROWS[ep.regime](ep.value, d, alpha, law))

@@ -206,7 +206,7 @@ def test_criterion_06_power_prediction():
     # p = -1 row.  sum_j f(s_j) <= d sup f = d mu_tilde_d(0), so beta = 0.95
     # needs K <= mu_tilde_d(0); at d = 1e4 it is not, and every direction is
     # infeasible with threshold d (1 - K / mu_tilde_d(0)) < 0
-    K = regime_row(-1.0, ALPHA, BETA, d).K(ALPHA, BETA)
+    K = regime_row(-1.0, ALPHA, d).K(BETA)
     mu0 = mu_tilde(d, 0.0)
     mu0_exact = mu_tilde_zero_closed_form(d)
     if abs(mu0 - mu0_exact) > 1e-10 * mu0_exact:

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -80,6 +81,12 @@ class TestApCurve:
 
 
 class TestOrlicz:
+    def test_p0_spike_without_overflow(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert orlicz_norm(0.0, 0.05, 0.8, spike_sequence().probe(10**6)) == 0.0
+            assert classify_are(0.0, spike_sequence(), 0.05, 0.8).tag == "zero"
+
     def test_equalized_scale(self):
         # ||1_d||_{p,2} / d^{1/4}: bounded; the p = 0 value is exactly
         # 1/(e sqrt(K_0)) = 0.1925 at (0.05, 0.95)

@@ -216,6 +216,14 @@ class TestContracts:
         d1, d4 = json.loads(out1), json.loads(out4)
         assert d1["result"] == d4["result"]
 
+    def test_critval_mc_threads_do_not_change_output(self, capsys):
+        base = ["critval", "--p", "3", "--d", "100", "--alpha", "0.05", "--method", "mc",
+                "--reps", "20000", "--seed", "1"]
+        _, out1 = run_capture(base + ["--threads", "1"], capsys)
+        _, out2 = run_capture(base + ["--threads", "2"], capsys)
+        d1, d2 = json.loads(out1), json.loads(out2)
+        assert d1["result"] == d2["result"] and d1["diagnostics"] == d2["diagnostics"]
+
     def test_env_threads_default(self, capsys, monkeypatch):
         monkeypatch.setenv("PMEAN_THREADS", "3")
         parser = build_parser()

@@ -7,6 +7,7 @@ from pmean.hypotest import (CriticalValue, InfeasibleError, ShiftVector, TestPla
                             as_shift_residual, as_shift_scale, critical_value, decide,
                             feasibility, pmean, pmean_rows, power_asymptotic,
                             sample_size)
+from pmean.mc import empirical_critval
 from pmean.moments import regime_row
 from pmean.numcore import ConfigError, DomainError, RngStream
 
@@ -101,6 +102,11 @@ class TestCriticalValue:
         b = critical_value(1.0, 50, 0.05, method="mc", reps=5000, rng=RngStream(1, 0))
         assert a.value == b.value
 
+    def test_mc_is_empirical_critval(self):
+        cv = critical_value(3.0, 100, 0.05, method="mc", reps=20_000, rng=RngStream(1, 0))
+        r = empirical_critval(3.0, 100, 0.05, 20_000, RngStream(1, 0), threads=2)
+        assert (cv.value, cv.half_width, cv.reps) == (r.estimate, r.half_width, r.reps)
+
     def test_mc_agrees_with_asymptotic(self):
         # desk-scale agreement: CI plus the regime's finite-d error
         for p in (-2.0, -0.5, 0.0, 1.0, 2.0, math.inf):
@@ -192,6 +198,19 @@ class TestSampleSize:
         t = as_shift_scale(plan)
         assert abs(power_asymptotic(2.0, d, 0.05, t * theta) - 0.95) < 1e-9
 
+    def test_p0_spike_beyond_2_to_the_200(self):
+        # f_0 grows like ln s, so the root lies near 1e120: the bracket must
+        # grow for as long as t max|theta| stays finite
+        d = 10_000
+        theta = np.zeros(d)
+        theta[0] = 0.5
+        plan = TestPlan(0.0, d, 0.05, 0.8, theta)
+        t = as_shift_scale(plan)
+        assert 2.0 ** 200 < t < 1e121
+        assert abs(as_shift_residual(0.0, d, 0.05, 0.8, t * theta)) < 1e-9
+        n = sample_size(plan)
+        assert abs(power_asymptotic(0.0, d, 0.05, math.sqrt(n) * theta) - 0.8) < 1e-9
+
 
 class TestFeasibility:
     def test_nonnegative_p_always_feasible(self):
@@ -219,11 +238,11 @@ class TestResidual:
     def test_zero_shift(self):
         # -K for the rows with f(0) = 0; the two exponential rows give 1 - K
         for p in (-1.0, -0.7, -0.5, -0.25, 0.0, 1.0, 2.0, math.inf):
-            K = regime_row(p, 0.05, 0.95, 50).K(0.05, 0.95)
+            K = regime_row(p, 0.05, 50).K(0.95)
             r = as_shift_residual(p, 50, 0.05, 0.95, np.zeros(50))
             assert abs(r + K) < 1e-9
         for p in (-math.inf, -2.0):
-            K = regime_row(p, 0.05, 0.95, 50).K(0.05, 0.95)
+            K = regime_row(p, 0.05, 50).K(0.95)
             r = as_shift_residual(p, 50, 0.05, 0.95, np.zeros(50))
             assert abs(r - (1.0 - K)) < 1e-9
 
@@ -256,6 +275,12 @@ class TestTypes:
     def test_plan_direction_unit(self):
         plan = TestPlan(2.0, 4, 0.05, 0.95, np.array([2.0, 0.0, 0.0, 0.0]))
         assert abs(pmean(2.0, plan.direction) - 1.0) <= 1e-12
+
+    def test_plan_direction_subnormal_and_huge(self):
+        for theta, d0 in (([5e-324, 0.0, 0.0], 2), ([1e308, -1e308, 0.0], 1)):
+            plan = TestPlan(-2.0, 3, 0.05, 0.8, np.array(theta))
+            assert abs(pmean(2.0, plan.direction) - 1.0) <= 1e-12
+            assert feasibility(plan).d0 == d0
 
     def test_critical_value_float(self):
         cv = CriticalValue(1.5, "asymptotic")

@@ -4,10 +4,11 @@ import numpy as np
 import pytest
 from scipy.special import ndtr
 
-from pmean.hypotest import critical_value
-from pmean.mc import (empirical_critval, empirical_power,
+from pmean.hypotest import critical_value, pmean_rows
+from pmean.mc import (_stat_rows_multi, empirical_critval, empirical_power,
                       empirical_size_multi, ks_distance, limit_law_ks,
                       majorizes_squares, random_direction_check, schur2_check)
+from pmean.moments import ExtendedP
 from pmean.numcore import ConfigError, DomainError, RngStream
 
 
@@ -163,3 +164,13 @@ class TestSizeMulti:
         multi = empirical_size_multi([2.0, -0.25], d, cs, 20_000, RngStream(71, 0))
         single = empirical_power(2.0, d, np.zeros(d), cs[2.0], 20_000, RngStream(71, 0))
         assert multi[2.0].estimate == single.estimate
+
+    def test_multi_kernel_matches_pmean_rows(self):
+        # zero coordinates at p < 0 give a p-mean of 0, not NaN; every other
+        # row agrees bit for bit with the single-p kernel
+        z = np.array([[0.0, 1.0, 2.0], [0.0, 0.0, 0.0], [0.3, -1.7, 2.2]])
+        ps = (-math.inf, -2.0, -0.5, 0.0, 1.5, 3.0, math.inf)
+        multi = _stat_rows_multi([ExtendedP.of(p) for p in ps], z)
+        for p, rows in zip(ps, multi):
+            assert np.array_equal(rows, pmean_rows(p, z)), p
+        assert multi[1][0] == 0.0

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import warnings
 
@@ -6,7 +7,8 @@ import pytest
 from scipy.special import ndtr
 
 from pmean.moments import (ExtendedP, Regime, b_p, c_crit_inf, lambda_inf, lambda_p,
-                           lambda_p_zero, lambda_pm, log_moment, mu_tilde, regime_row)
+                           lambda_p_zero, lambda_pm, limit_law, log_moment, mu_tilde,
+                           regime_row)
 from pmean.numcore import DomainError, Quadrature, gauss_expect
 
 SQRT_2_OVER_PI = math.sqrt(2 / math.pi)
@@ -204,11 +206,11 @@ class TestExtendedP:
 
 class TestRegimeTable:
     def test_k_examples(self):
-        assert abs(regime_row(math.inf, 0.05, 0.95, 100).K(0.05, 0.95)
+        assert abs(regime_row(math.inf, 0.05, 100).K(0.95)
                    - (math.log(0.95) - math.log(0.05))) < 1e-12
-        assert abs(regime_row(-math.inf, 0.05, 0.95, 100).K(0.05, 0.95)
+        assert abs(regime_row(-math.inf, 0.05, 100).K(0.95)
                    - math.log(0.95) / math.log(0.05)) < 1e-12
-        assert abs(regime_row(2.0, 0.05, 0.95, 100).K(0.05, 0.95)
+        assert abs(regime_row(2.0, 0.05, 100).K(0.95)
                    - 4.652348614706696) < 1e-9
 
     def test_f_at_zero_by_row(self):
@@ -217,33 +219,54 @@ class TestRegimeTable:
         for p, expect in [(-math.inf, 1.0), (-2.0, 1.0), (-1.0, 0.0), (-0.7, 0.0),
                           (-0.5, 0.0), (-0.25, 0.0), (0.0, 0.0), (1.0, 0.0),
                           (math.inf, 0.0)]:
-            row = regime_row(p, 0.05, 0.95, d)
+            row = regime_row(p, 0.05, d)
             assert abs(float(row.f(0.0)) - expect) < 1e-10
             assert row.f_at_zero == expect
 
     def test_k_positive(self):
         for ab in [(0.05, 0.95), (0.01, 0.5), (0.2, 0.8)]:
             for p in (-math.inf, -2.0, -1.0, -0.7, -0.5, -0.25, 0.0, 1.0, 2.0, math.inf):
-                assert regime_row(p, *ab, 100).K(*ab) > 0.0
+                assert regime_row(p, ab[0], 100).K(ab[1]) > 0.0
 
     def test_kappa_positive_nondecreasing(self):
         for p in (-math.inf, -2.0, -1.0, -0.7, -0.5, -0.25, 0.0, 1.0, math.inf):
-            row = regime_row(p, 0.05, 0.95, 100)
+            row = regime_row(p, 0.05, 100)
             ks = [row.kappa(d) for d in (10, 100, 1000)]
             assert ks[0] > 0 and ks[0] <= ks[1] <= ks[2]
 
     def test_d_capture(self):
         # f for p = -1 and p = inf depends on d (and alpha for p = inf)
-        f_small = regime_row(-1.0, 0.05, 0.95, 10).f
-        f_large = regime_row(-1.0, 0.05, 0.95, 10000).f
+        f_small = regime_row(-1.0, 0.05, 10).f
+        f_large = regime_row(-1.0, 0.05, 10000).f
         assert abs(float(f_small(1.0)) - float(f_large(1.0))) > 1e-3
-        g_small = regime_row(math.inf, 0.05, 0.95, 100).f
-        g_large = regime_row(math.inf, 0.05, 0.95, 10**6).f
+        g_small = regime_row(math.inf, 0.05, 100).f
+        g_large = regime_row(math.inf, 0.05, 10**6).f
         assert abs(float(g_small(2.0)) - float(g_large(2.0))) > 1e-6
+
+    def test_law_quantile_inverts_cdf(self):
+        for p in (-math.inf, -2.0, -1.0, -0.7, -0.5, -0.25, 0.0, 1.0, math.inf):
+            law = limit_law(p, 100)
+            for q in (0.05, 0.5, 0.9):
+                assert abs(float(law.cdf(law.quantile(q))) - q) < 1e-8, (p, q)
+
+    def test_power_inverts_K(self):
+        for p in (-math.inf, -2.0, -1.0, -0.7, -0.5, -0.25, 0.0, 1.0, 3.0, math.inf):
+            row = regime_row(p, 0.05, 100)
+            for beta in (0.2, 0.8):
+                assert abs(row.power(row.K(beta)) - beta) < 1e-8, (p, beta)
+
+    def test_shift_sum_deduplicates(self):
+        row = regime_row(3.0, 0.05, 8)
+        theta = np.array([0.5, -0.5, 0.0, 1.5, -1.5, 1.5, 0.0, 0.5])
+        calls = []
+        traced = dataclasses.replace(row, f=lambda s: calls.append(np.size(s)) or row.f(s))
+        want = sum(float(row.f(abs(v))) for v in theta)
+        assert abs(traced.shift_sum(theta)(1.0) - want) < 1e-12 * want
+        assert calls == [3]
 
     def test_alpha_beta_validation(self):
         with pytest.raises(DomainError):
-            regime_row(1.0, 0.95, 0.05, 10)
+            regime_row(1.0, 0.95, 10).K(0.05)
 
     def test_b_p(self):
         assert b_p(-1.0) == -SQRT_2_OVER_PI
