@@ -13,8 +13,8 @@ __version__ = "0.1.0"
 from .numcore import (AccuracyError, BracketError, ConfigError, DomainError,
                       Quadrature, RngStream, find_root, gauss_expect, normal_cdf,
                       normal_pdf, normal_quantile)
-from .moments import (ExtendedP, Regime, RegimeRow, b_p, c_crit_inf, lambda_inf,
-                      lambda_p, lambda_p_zero, lambda_pm, log_moment, mu_tilde,
+from .moments import (ExtendedP, LimitLaw, Regime, RegimeRow, b_p, c_crit_inf, lambda_inf,
+                      lambda_p, lambda_p_zero, lambda_pm, limit_law, log_moment, mu_tilde,
                       regime_row)
 from .stable import (StableLaw, cf_exponent, stable_cdf, stable_quantile,
                      stable_sample, support_lower_bound)

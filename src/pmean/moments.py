@@ -327,10 +327,6 @@ def _check_beta(alpha: float, beta: float) -> None:
         raise DomainError(f"need 0 < alpha < beta < 1, got alpha={alpha}, beta={beta}")
 
 
-def _elementwise(fn: Callable[[float], float]) -> Callable[[np.ndarray], np.ndarray]:
-    return np.vectorize(fn, otypes=[float])
-
-
 def _exponential_f(s):
     return np.exp(-0.5 * np.square(np.asarray(s, dtype=float)))
 
@@ -386,7 +382,7 @@ def _bounded(p, d, alpha, law, kappa, moment, sigma):
     """Rows p in [-1, 0): f = m(0) - m(s) for the row's shift moment m,
     rising from 0 to its bound m(0) = law.center; sigma = law.scale / kappa(d)."""
     top = law.center
-    return dict(f=_elementwise(lambda v: top - moment(v)), kappa=kappa,
+    return dict(f=np.vectorize(lambda v: top - moment(v), otypes=[float]), kappa=kappa,
                 critical=_sum_critical(p, d, alpha, law), f_at_inf=top,
                 **_additive(law, sigma, alpha))
 
@@ -394,7 +390,7 @@ def _bounded(p, d, alpha, law, kappa, moment, sigma):
 def _unbounded(p, d, alpha, law, moment):
     """Rows p in [0, inf): f = m(s) - m(0), unbounded, with the CLT rate sqrt(d)."""
     base = law.center
-    f = np.square if p == 2.0 else _elementwise(lambda v: moment(v) - base)
+    f = np.square if p == 2.0 else np.vectorize(lambda v: moment(v) - base, otypes=[float])
     return dict(f=f, kappa=math.sqrt, critical=_sum_critical(p, d, alpha, law),
                 **_additive(law, law.scale / math.sqrt(d), alpha))
 
