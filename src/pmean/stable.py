@@ -5,35 +5,37 @@ density sqrt(2/pi) * (-1/p) * x^{-1+1/p} on (0, infinity) under the
 truncation-at-|x|<=1 compensation convention.  It is stable of index
 alpha = -1/p in (0, 2), totally skewed to the right.
 
-The CDF is obtained by numerically inverting the characteristic function.
-For alpha != 1 the CF exponent collapses to  i delta u - C (-iu)^alpha ;
-two equivalent contour renderings of the inversion integral are used:
+Its characteristic exponent, i delta u - C (-iu)^alpha for alpha != 1, makes
+the law an exact affine image of the standardized totally skewed law
+Y ~ S1(alpha, beta=1):
 
-* a Gil-Pelaez principal-value integral along the real frequency axis, and
-* for alpha < 1 and x past a growth-controlled crossover, the same integral
-  wrapped around the branch cut of (-iu)^alpha on the negative imaginary
-  axis, which turns it into a damped Laplace-type integral (non-oscillatory
-  exactly where the real-axis form oscillates the most).
+    zeta = delta + gamma Y,               gamma = (C cos(pi alpha/2))^(1/alpha),
+    zeta = C Y + delta + (2/pi) C ln C    at alpha = 1.
 
-The sampler is Chambers-Mallows-Stuck for the standardized totally skewed
-stable, affine-mapped onto zeta_{p,b}; the location piece of the map is fixed
-once per law by equating medians with the CDF above, so the truncated-jump
-compensation convention never has to be matched against a textbook stable
-parametrization by hand.
+The CDF of Y is Zolotarev's integral over a finite theta-interval, in the
+form of Nolan (1997), "Numerical calculation of stable densities and
+distribution functions", Theorem 1:
+
+    F(y) = c1 + sign(1 - alpha)/pi Int exp(-|y|^(alpha/(alpha-1)) V(theta)) dtheta,
+
+with exp(-e^(-pi y/2) V(theta)) at alpha = 1.  V is monotone, so the integrand
+does not oscillate.  Each integral is split at theta*, where the exponent
+equals 1, and both halves are integrated on one fixed tanh-sinh rule
+(Takahasi & Mori 1974) whose nodes are shared by every x of a call.
+
+The sampler is Chambers-Mallows-Stuck for Y under the same affine map.
 """
 
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy import integrate
 from scipy.special import gamma as _gamma_fn
 
-from .numcore import AccuracyError, DomainError, RngStream, find_root
+from .numcore import DomainError, RngStream, find_root
 
 EULER_GAMMA = 0.5772156649015329
 CPLUS = math.sqrt(2.0 / math.pi)   # total Levy mass multiplier sqrt(2/pi)
@@ -81,6 +83,18 @@ class _Exponent:
             return self.C * math.cos(math.pi * self.a / 2.0)
         return self.C
 
+    @property
+    def scale(self) -> float:
+        """gamma in  zeta = gamma Y + shift,  Y ~ S1(a, beta=1)."""
+        return self.g ** (1.0 / self.a)
+
+    @property
+    def shift(self) -> float:
+        """Location of the affine map; the support's lower end when a < 1."""
+        if self.a != 1.0:
+            return self.delta
+        return self.delta + (2.0 / math.pi) * self.C * math.log(self.C)
+
     def __call__(self, u):
         u = np.asarray(u, dtype=float)
         if self.a != 1.0:
@@ -101,162 +115,159 @@ def _law_exponent(law: StableLaw) -> _Exponent:
     return _Exponent(1.0, CPLUS * math.pi / 2.0, law.b + CPLUS * (1.0 - EULER_GAMMA))
 
 
-def _std_exponent(a: float) -> _Exponent:
-    """Exponent of the standardized totally skewed S(alpha, beta=1) law."""
-    if a != 1.0:
-        return _Exponent(a, 1.0 / math.cos(math.pi * a / 2.0), 0.0)
-    return _Exponent(1.0, 1.0, 0.0)
-
-
 def cf_exponent(law: StableLaw, u):
     """log E exp(i u zeta_{p,b}), closed form derived from the Levy triplet."""
     return _law_exponent(law)(u)
 
 
-def _cut_crossover(ex: _Exponent) -> float:
-    """Smallest x - delta at which the branch-cut form is well conditioned.
+# ---------------------------------------------------------------------------
+# Zolotarev's integral
+# ---------------------------------------------------------------------------
 
-    The wrapped integrand carries exp(-v(x-delta) + B v^a) with
-    B = -C cos(pi a); its peak exponent must stay small enough that the
-    sign-alternating part cancels without catastrophic loss of precision.
+def _fractions(s):
+    """Where the tanh-sinh variable s puts theta: its fractions of the interval
+    from the left and from the right end, each accurate near its own end."""
+    e = np.pi * np.sinh(s)
+    return 1.0 / (1.0 + np.exp(-e)), 1.0 / (1.0 + np.exp(e))
+
+
+# the tanh-sinh rule on an interval of unit length, step 1/40 over s in [-3.5, 3.5];
+# the part of the interval beyond the last nodes is within 3e-23 of its ends
+_STEP = 1.0 / 40.0
+_NODES = _STEP * np.arange(-140, 141)
+_FL, _FR = _fractions(_NODES)
+_WEIGHTS = math.pi * _STEP * np.cosh(_NODES) * _FL * _FR
+_BLOCK = 256          # x values per vectorized block
+_CHORD_STEPS = 2      # refinements of theta* after the table lookup
+
+
+class _Zolotarev:
+    """(1/pi) Int exp(-e^(c + ln V(theta))) dtheta over the theta-interval of
+    Nolan's Theorem 1 for S1(a, beta) with beta = +1, or -1 for the half-line
+    y < 0 when a > 1.
+
+    Points are held by their distances dl, dr to the two ends of the interval,
+    so V stays accurate where its factors vanish there.  ln V is tabulated on
+    a grid of the tanh-sinh variable to locate theta* for any c.
     """
-    B = -ex.C * math.cos(math.pi * ex.a)
-    if B <= 0.0:
-        return 1e-8
-    hmax = 14.0  # peak exponent budget: ~e^14 * eps ~ 1e-10 absolute
 
-    def peak(xe):
-        v0 = (ex.a * B / xe) ** (1.0 / (1.0 - ex.a))
-        return v0 * xe * (1.0 / ex.a - 1.0)
+    def __init__(self, a: float, beta: int):
+        self.a, self.beta = a, beta
+        if a <= 1.0:
+            self.length = math.pi
+        else:
+            self.length = math.pi - math.pi / a if beta > 0 else math.pi / a
+        if a != 1.0:
+            self.k = a / (a - 1.0)
+            self.log_c0 = math.log(math.sin(0.5 * math.pi * abs(1.0 - a))) / (a - 1.0)
+        # V rises over the interval for a <= 1 and falls for a > 1
+        self.sign = 1.0 if a <= 1.0 else -1.0
+        self.grid = np.linspace(-4.0, 4.0, 257)
+        self.table = np.maximum.accumulate(self._rising(self.grid))
 
-    xe = ex.a * B
-    while peak(xe) > hmax:
-        xe *= 1.5
-    return xe
+    def log_v(self, dl, dr):
+        a = self.a
+        if a == 1.0:
+            cos_t = np.sin(np.minimum(dl, dr))
+            return math.log(2.0 / math.pi) + np.log(dl / cos_t) + dl * np.cos(dr) / cos_t
+        if a < 1.0:
+            cos_t = np.sin(np.minimum(dl, dr))
+            sin_a, cos_phi = np.sin(a * dl), np.sin((1.0 - a) * dl)
+        elif self.beta > 0:
+            cos_t = np.sin(dr)
+            sin_a, cos_phi = np.sin(a * dl), np.sin(math.pi * (2.0 - a) + (a - 1.0) * dr)
+        else:
+            cos_t = np.sin(np.minimum(dr, dl + math.pi * (1.0 - 1.0 / a)))
+            sin_a, cos_phi = np.sin(a * np.minimum(dl, dr)), np.sin((a - 1.0) * dr)
+        return self.log_c0 + self.k * np.log(cos_t / sin_a) + np.log(cos_phi / cos_t)
+
+    def _rising(self, s):
+        """asinh(+-ln V) at the tanh-sinh variable s: increasing, and close to
+        linear in s near both ends, where ln V grows like e^|s|."""
+        fl, fr = _fractions(s)
+        return np.arcsinh(self.sign * self.log_v(self.length * fl, self.length * fr))
+
+    def _split(self, c):
+        """Fractions of the interval left and right of theta*, where c + ln V = 0:
+        a table lookup, then chord steps on the table cell's slope."""
+        target = np.arcsinh(-self.sign * c)
+        j = np.clip(np.searchsorted(self.table, target), 1, self.grid.size - 1)
+        lo, hi = self.grid[j - 1], self.grid[j]
+        slope = np.maximum((self.table[j] - self.table[j - 1]) / (hi - lo), 1e-300)
+        s = np.clip(lo + (target - self.table[j - 1]) / slope, lo, hi)
+        for _ in range(_CHORD_STEPS):
+            s = np.clip(s - (self._rising(s) - target) / slope, lo, hi)
+        return _fractions(s)
+
+    def integral(self, c: np.ndarray) -> np.ndarray:
+        out = np.empty(c.shape)
+        for i in range(0, c.size, _BLOCK):
+            cb = c[i:i + _BLOCK, None]
+            fl, fr = self._split(cb)
+            left, right = self.length * fl, self.length * fr
+            dl = np.concatenate([left * _FL, left + right * _FL], axis=1)
+            dr = np.concatenate([right + left * _FR, right * _FR], axis=1)
+            with np.errstate(over="ignore"):
+                g = np.exp(-np.exp(cb + self.log_v(dl, dr)))
+            m = _NODES.size
+            out[i:i + _BLOCK] = (left[:, 0] * (g[:, :m] @ _WEIGHTS)
+                                 + right[:, 0] * (g[:, m:] @ _WEIGHTS)) / math.pi
+        return out
 
 
-def _cdf_cut(ex: _Exponent, x: float) -> float:
-    """F(x) for a < 1 via the branch-cut (Laplace) rendering; x > delta.
-
-    Substituting t = v^a removes the v^{a-1} endpoint singularity and makes
-    the sin factor oscillate linearly in the integration variable.
-    """
-    xe = x - ex.delta
-    a = ex.a
-    cpa, spa = math.cos(math.pi * a), math.sin(math.pi * a)
-    inv_a = 1.0 / a
-
-    def integrand(t):
-        return math.exp(-t ** inv_a * xe - ex.C * cpa * t) * math.sin(ex.C * spa * t) / t
-
-    V = 80.0 / xe
-    if cpa > 0.0:
-        # the e^{-C v^a cos(pi a)} factor kills the tail on its own
-        V = min(V, (45.0 / (ex.C * cpa)) ** inv_a)
-    Tt = V ** a
-    nosc = ex.C * spa * Tt / (2.0 * math.pi)
-    limit = int(min(4000, max(300, 12 * nosc + 50)))
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", integrate.IntegrationWarning)
-        sf, err = integrate.quad(integrand, 0.0, Tt, limit=limit, epsabs=1e-13, epsrel=1e-11)
-    sf /= math.pi * a
-    if not math.isfinite(sf) or err > 1e-8:
-        raise AccuracyError("stable CDF cut-form inversion failed", 1.0 - sf, err)
-    return min(1.0, max(0.0, 1.0 - sf))
+@lru_cache(maxsize=256)
+def _zolotarev(a: float, beta: int) -> _Zolotarev:
+    return _Zolotarev(a, beta)
 
 
-def _cdf_gil_pelaez(ex: _Exponent, x: float) -> float:
-    """1/2 - (1/pi) Int_0^T Im[e^{-iux} e^{psi(u)}]/u du."""
-    T = (34.0 / ex.g) ** (1.0 / ex.a)
-    nosc = abs(x) * T / (2.0 * math.pi)
-    if nosc > 5000.0:
-        return _cdf_far_tail(ex, x)
-
-    def integrand(u):
-        return np.imag(np.exp(-1j * u * x + ex(u))) / u
-
-    limit = int(max(250, 12 * nosc + 50))
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", integrate.IntegrationWarning)
-        val, err = integrate.quad(integrand, 0.0, T, limit=limit, epsabs=1e-12, epsrel=1e-11)
-    if not math.isfinite(val) or err > 1e-8:
-        raise AccuracyError("stable CDF characteristic-function inversion failed",
-                            0.5 - val / math.pi, err)
-    return min(1.0, max(0.0, 0.5 - val / math.pi))
-
-
-def _cdf_far_tail(ex: _Exponent, x: float) -> float:
-    """Deep-tail values where the oscillatory inversion is impractical.
-
-    Right tail: stable-tail equivalence P(X > x) ~ nu((x, inf)) = c x^{-a},
-    with c read off the exponent; the relative error O(x^{-a}) is far below
-    the absolute scale of the tail itself at these x.  Left tail (a >= 1):
-    stretched-exponentially thin, 0 at double precision.
-    """
-    if ex.a != 1.0:
-        c_tail = ex.C / _gamma_fn(1.0 - ex.a)
+def _s1_cdf(a: float, y: np.ndarray) -> np.ndarray:
+    """CDF of the standardized S1(a, beta=1) law at a 1-D array y (Nolan's
+    Theorem 1: c1 = 0 for a < 1, 1 for a > 1; F = 1/a at y = 0 for a > 1)."""
+    F = np.where(y > 0, 1.0, 0.0)
+    F[np.isnan(y)] = np.nan
+    fin = np.isfinite(y)
+    if a == 1.0:
+        F[fin] = _zolotarev(1.0, 1).integral(-0.5 * math.pi * y[fin])
+        return F
+    pos, neg = fin & (y > 0), fin & (y < 0)
+    with np.errstate(divide="ignore"):
+        c = (a / (a - 1.0)) * np.log(np.abs(y))
+    if a < 1.0:
+        F[pos] = _zolotarev(a, 1).integral(c[pos])
     else:
-        c_tail = ex.C * 2.0 / math.pi
-    if x > ex.delta:
-        return min(1.0, max(0.0, 1.0 - c_tail * (x - ex.delta) ** -ex.a))
-    return 0.0
+        F[pos] = 1.0 - _zolotarev(a, 1).integral(c[pos])
+        F[neg] = _zolotarev(a, -1).integral(c[neg])
+        F[y == 0.0] = 1.0 / a
+    return F
 
 
-def _cdf_exponent(ex: _Exponent, x: float) -> float:
-    if ex.a < 1.0:
-        if x <= ex.delta:
-            return 0.0
-        xe = x - ex.delta
-        if xe >= _cut_crossover(ex):
-            return _cdf_cut(ex, x)
-        B = -ex.C * math.cos(math.pi * ex.a)
-        if B <= 0.0 and xe < 1e-8:
-            # doubly-exponentially thin left edge; the cut form at the closest
-            # cheaply-integrable point bounds F(x) from above (monotonicity)
-            spa = math.sin(math.pi * ex.a)
-            v_allow = (1500.0 * 2.0 * math.pi / (ex.C * spa)) ** (1.0 / ex.a)
-            probe = max(xe, 80.0 / v_allow)
-            upper = _cdf_cut(ex, ex.delta + probe)
-            if upper < 1e-10:
-                return 0.0
-            return _cdf_cut(ex, x)
-    return _cdf_gil_pelaez(ex, x)
+def _cdf_exponent(ex: _Exponent, x):
+    """F(x) for the law with exponent ex; one vectorized pass over an array x."""
+    y = (np.asarray(x, dtype=float) - ex.shift) / ex.scale
+    F = np.clip(_s1_cdf(ex.a, y.ravel()), 0.0, 1.0).reshape(y.shape)
+    return float(F) if F.ndim == 0 else F
 
 
-def _quantile_exponent(ex: _Exponent, q: float, mass: float) -> float:
-    """Inverse CDF for an exponent; ``mass`` is the total Levy mass multiplier
-    entering the regularly varying tail P(X > x) ~ mass * x^{-a}."""
-    scale = max(abs(ex.g) ** (1.0 / ex.a), 1.0)
-    hi = ex.delta + max(4.0 * scale, 3.0 * (mass / (1.0 - q)) ** (1.0 / ex.a))
-    while _cdf_exponent(ex, hi) < q:
-        hi = ex.delta + 2.0 * (hi - ex.delta)
-    if ex.a < 1.0:
-        lo = ex.delta + 1e-12 * max(1.0, abs(ex.delta))
-        if _cdf_exponent(ex, lo) > q:
-            return lo
-    else:
-        lo = ex.delta - 4.0 * scale
-        while _cdf_exponent(ex, lo) > q:
-            lo = ex.delta - 2.0 * (ex.delta - lo)
-    return find_root(lambda x: _cdf_exponent(ex, x) - q, lo, hi, tol=1e-11)
-
-
-@lru_cache(maxsize=500_000)
-def _cdf_cached(law: StableLaw, x: float) -> float:
+def stable_cdf(law: StableLaw, x):
+    """Distribution function Phi_{p,b}(x), elementwise on arrays."""
     return _cdf_exponent(_law_exponent(law), x)
-
-
-def stable_cdf(law: StableLaw, x) -> float:
-    """Distribution function Phi_{p,b}(x)."""
-    x = np.asarray(x, dtype=float)
-    if x.ndim == 0:
-        return _cdf_cached(law, float(x))
-    return np.array([_cdf_cached(law, float(v)) for v in x.ravel()]).reshape(x.shape)
 
 
 @lru_cache(maxsize=100_000)
 def _quantile_cached(law: StableLaw, q: float) -> float:
-    return _quantile_exponent(_law_exponent(law), q, CPLUS)
+    ex = _law_exponent(law)
+    step = max(ex.scale, 1.0)
+    # the right tail is P(X > x) ~ CPLUS x^-a
+    hi = ex.shift + max(4.0 * step, 3.0 * (CPLUS / (1.0 - q)) ** (1.0 / ex.a))
+    while _cdf_exponent(ex, hi) < q:
+        hi = ex.shift + 2.0 * (hi - ex.shift)
+    lo = ex.shift - 4.0 * step
+    if ex.a < 1.0:
+        lo = ex.shift     # F = 0 at the lower end of the support
+    else:
+        while _cdf_exponent(ex, lo) > q:
+            lo = ex.shift - 2.0 * (ex.shift - lo)
+    return find_root(lambda x: _cdf_exponent(ex, x) - q, lo, hi, tol=1e-11)
 
 
 def stable_quantile(law: StableLaw, q: float) -> float:
@@ -264,22 +275,6 @@ def stable_quantile(law: StableLaw, q: float) -> float:
     if not 0.0 < q < 1.0:
         raise DomainError(f"stable_quantile requires q in (0,1), got {q}")
     return _quantile_cached(law, float(q))
-
-
-@lru_cache(maxsize=4096)
-def _cms_affine(law: StableLaw) -> tuple[float, float]:
-    """(scale, shift) mapping a standardized CMS variate onto zeta_{p,b}.
-
-    The scale matches the |u|^a modulus of the CF; the shift is fixed by
-    equating medians, with the standardized median evaluated by the same
-    inversion machinery on the textbook S(alpha, beta=1) exponent.
-    """
-    ex = _law_exponent(law)
-    gamma_scale = ex.g ** (1.0 / ex.a)
-    std = _std_exponent(law.alpha)
-    med_std = _quantile_exponent(std, 0.5, 1.0)
-    med_law = stable_quantile(law, 0.5)
-    return gamma_scale, med_law - gamma_scale * med_std
 
 
 def _cms_standard(alpha: float, n: int, rng: np.random.Generator) -> np.ndarray:
@@ -301,26 +296,12 @@ def stable_sample(law: StableLaw, n: int, rng: RngStream) -> np.ndarray:
     """n i.i.d. draws from zeta_{p,b}; deterministic in the stream."""
     if n < 1:
         raise DomainError(f"stable_sample requires n >= 1, got {n}")
-    scale, shift = _cms_affine(law)
-    return scale * _cms_standard(law.alpha, n, rng.generator()) + shift
-
-
-def support_lower_bound(law: StableLaw, tol: float = 1e-9) -> float:
-    """Essential infimum of the support, located numerically as the point where
-    the CDF leaves 0 (no closed form is asserted)."""
     ex = _law_exponent(law)
-    if ex.a >= 1.0:
-        return -math.inf
-    scale = max(ex.g ** (1.0 / ex.a), 1.0)
-    hi = stable_quantile(law, 0.5)
-    lo = hi - max(4.0 * scale, 1.0)
-    while stable_cdf(law, lo) > 0.0:
-        hi = lo
-        lo = hi - 2.0 * max(4.0 * scale, 1.0)
-    while hi - lo > tol * max(1.0, abs(hi)):
-        mid = 0.5 * (lo + hi)
-        if stable_cdf(law, mid) > 0.0:
-            hi = mid
-        else:
-            lo = mid
-    return 0.5 * (lo + hi)
+    return ex.scale * _cms_standard(law.alpha, n, rng.generator()) + ex.shift
+
+
+def support_lower_bound(law: StableLaw) -> float:
+    """Essential infimum of the support: the shift of the affine map for
+    alpha < 1, -inf otherwise."""
+    ex = _law_exponent(law)
+    return ex.shift if ex.a < 1.0 else -math.inf

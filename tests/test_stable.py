@@ -1,9 +1,12 @@
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import integrate
-from scipy.special import ndtr, ndtri
+from scipy.special import erfc, ndtr, ndtri
 
 from pmean.moments import b_p
 from pmean.numcore import DomainError, RngStream
@@ -154,3 +157,150 @@ class TestSampler:
     def test_bad_n(self):
         with pytest.raises(DomainError):
             stable_sample(LEVY_LAW, 0, RngStream(0, 0))
+
+
+# ---------------------------------------------------------------------------
+# Zolotarev's integral: closed form, oracle and properties
+# ---------------------------------------------------------------------------
+
+def s1_cdf_mp(a, y, dps=30):
+    """F(y) of the standardized S1(a, beta=1) law at dps digits: Nolan's
+    Theorem 1 in the textbook theta variable, split at theta*, by mpmath's
+    adaptive tanh-sinh quadrature."""
+    with mp.workdps(dps):
+        a, y = mp.mpf(a), mp.mpf(y)
+        if a == 1:
+            lo, logc = -mp.pi / 2, -mp.pi * y / 2
+
+            def log_v(th):
+                return (mp.log(abs(2 / mp.pi * (mp.pi / 2 + th) / mp.cos(th)))
+                        + (mp.pi / 2 + th) * mp.tan(th))
+        else:
+            if y == 0:
+                return mp.mpf(0) if a < 1 else 1 / a
+            if a < 1 and y < 0:
+                return mp.mpf(0)
+            beta = 1 if y > 0 else -1
+            th0 = mp.atan(beta * mp.tan(mp.pi * a / 2)) / a
+            lo, logc = -th0, a / (a - 1) * mp.log(abs(y))
+
+            def log_v(th):
+                return (mp.log(mp.cos(a * th0)) / (a - 1)
+                        + a / (a - 1) * mp.log(abs(mp.cos(th) / mp.sin(a * (th0 + th))))
+                        + mp.log(abs(mp.cos(a * th0 + (a - 1) * th) / mp.cos(th))))
+        hi = mp.pi / 2
+
+        def h(th):
+            return logc + log_v(th)
+
+        rising = h(lo + (hi - lo) / 4) < h(hi - (hi - lo) / 4)
+        left, right = lo, hi
+        for _ in range(3 * dps):
+            mid = (left + right) / 2
+            if (h(mid) < 0) == rising:
+                left = mid
+            else:
+                right = mid
+        star = (left + right) / 2
+
+        def g(th):
+            # a node that rounds onto an end carries a weight below the precision
+            if th <= lo or th >= hi:
+                return mp.mpf(0)
+            e = h(th)
+            return mp.mpf(0) if e > 300 else mp.exp(-mp.exp(e))
+
+        tiny = mp.mpf(10) ** (-dps // 2)
+        pts = [lo, star, hi] if min(star - lo, hi - star) > tiny else [lo, hi]
+        integral = mp.quad(g, pts) / mp.pi
+        return 1 - integral if a > 1 and y > 0 else integral
+
+
+def law_cdf_mp(law, x, dps=30):
+    """The CDF of zeta_{p,b} at x at dps digits, through the affine map onto
+    S1(alpha, beta=1) evaluated from the law's parameters in mpmath."""
+    with mp.workdps(dps):
+        a, b, cplus = mp.mpf(law.alpha), mp.mpf(law.b), mp.sqrt(2 / mp.pi)
+        if a == 1:
+            C = cplus * mp.pi / 2
+            scale, shift = C, b + cplus * (1 - mp.euler) + 2 / mp.pi * C * mp.log(C)
+        else:
+            C = cplus * mp.gamma(1 - a)
+            scale, shift = (C * mp.cos(mp.pi * a / 2)) ** (1 / a), b + cplus * a / (a - 1)
+        return s1_cdf_mp(a, (mp.mpf(x) - shift) / scale, dps)
+
+
+# the seven stable rows' indices: p = -5, -2, -1.5, -1, -0.7, -0.6, -0.55
+INDEX_GRID = (0.2, 0.5, 2 / 3, 1.0, 1 / 0.7, 1 / 0.6, 1 / 0.55)
+
+# Stable indices at least 1e-3 from 1, or exactly 1: zeta_{p,b_p} sits near
+# -gamma tan(pi alpha / 2), which diverges as alpha -> 1 from either side.
+INDICES = st.one_of(st.just(1.0), st.floats(0.2, 0.999), st.floats(1.001, 1.9))
+PROPERTY = settings(max_examples=40, deadline=None, derandomize=True)
+
+
+def _law(alpha):
+    return StableLaw(-1.0 / alpha, b_p(-1.0 / alpha))
+
+
+class TestZolotarev:
+    def test_levy_closed_form(self):
+        x = np.geomspace(1e-3, 1e8, 400)
+        err = np.abs(stable_cdf(LEVY_LAW, x) - erfc(1.0 / np.sqrt(2.0 * x)))
+        assert err.max() <= 1e-13
+
+    def test_array_equals_scalar_calls(self):
+        # more points than one block, to cross a block boundary
+        for alpha in INDEX_GRID:
+            law = _law(alpha)
+            lo, hi = stable_quantile(law, 1e-4), stable_quantile(law, 1 - 1e-4)
+            x = np.linspace(lo - 1.0, hi, 600)
+            F = stable_cdf(law, x)
+            one = np.array([stable_cdf(law, float(v)) for v in x])
+            assert np.max(np.abs(F - one)) <= 1e-13
+            assert stable_cdf(law, x.reshape(20, 30)).shape == (20, 30)
+
+    def test_against_mpmath_oracle(self):
+        for alpha in INDEX_GRID:
+            law = _law(alpha)
+            for q in (0.003, 0.4, 0.97):
+                x = stable_quantile(law, q)
+                assert abs(stable_cdf(law, x) - float(law_cdf_mp(law, x))) <= 1e-12
+
+    def test_oracle_matches_levy(self):
+        with mp.workdps(30):
+            # the double-precision drift b puts the support end 4.4e-17 off 0
+            end = mp.mpf(LEVY_LAW.b) - mp.sqrt(2 / mp.pi)
+            for x in (0.05, 1.0, 300.0):
+                exact = mp.erfc(1 / mp.sqrt(2 * (mp.mpf(x) - end)))
+                assert abs(law_cdf_mp(LEVY_LAW, x) - exact) < 1e-25
+
+    def test_support_end_is_the_shift(self):
+        for alpha in (0.2, 0.5, 2 / 3, 0.9):
+            law = _law(alpha)
+            lo = support_lower_bound(law)
+            assert stable_cdf(law, lo) == 0.0
+            assert stable_cdf(law, stable_quantile(law, 1e-9)) > 0.0
+
+    @PROPERTY
+    @given(INDICES, st.lists(st.floats(-0.5, 1.5), min_size=2, max_size=40))
+    def test_monotone_within_unit_interval(self, alpha, u):
+        law = _law(alpha)
+        lo, hi = stable_quantile(law, 1e-3), stable_quantile(law, 1 - 1e-3)
+        F = stable_cdf(law, lo + (hi - lo) * np.sort(u))
+        assert np.all((F >= 0.0) & (F <= 1.0))
+        assert np.all(np.diff(F) >= 0.0)
+
+    @PROPERTY
+    @given(st.floats(0.2, 0.999), st.floats(0.0, 1e6))
+    def test_zero_at_and_below_support(self, alpha, depth):
+        law = _law(alpha)
+        lo = support_lower_bound(law)
+        assert stable_cdf(law, lo - depth) == 0.0
+        assert stable_cdf(law, np.array([lo, lo - depth])).tolist() == [0.0, 0.0]
+
+    @PROPERTY
+    @given(INDICES, st.floats(1e-6, 1 - 1e-6))
+    def test_quantile_round_trip(self, alpha, q):
+        law = _law(alpha)
+        assert abs(stable_cdf(law, stable_quantile(law, q)) - q) <= 1e-8
