@@ -47,6 +47,18 @@ def parse_p(text: str) -> float:
     return float(t)
 
 
+def parse_count(text: str) -> int:
+    """A count such as --d, --reps or --nrep: an integer, also in float
+    notation when the value is integral (1e6)."""
+    try:
+        return int(text)
+    except ValueError:
+        value = float(text)
+    if not value.is_integer():
+        raise ValueError(f"not an integer: {text}")
+    return int(value)
+
+
 def parse_vector(spec: str, d: int) -> np.ndarray:
     """Vector inputs: comma literals, ``equalized:<t>``, ``spike:<t>``,
     ``block:<k>:<s>``, or a readable file of whitespace-separated numbers."""
@@ -117,22 +129,22 @@ def build_parser() -> _Parser:
 
     sp = sub.add_parser("critval", help="size-alpha critical value for <Z>_p")
     sp.add_argument("--p", required=True)
-    sp.add_argument("--d", type=int, required=True)
+    sp.add_argument("--d", type=parse_count, required=True)
     sp.add_argument("--alpha", type=float, required=True)
     sp.add_argument("--method", choices=("asymptotic", "mc"), default="asymptotic")
-    sp.add_argument("--reps", type=int, default=100_000)
+    sp.add_argument("--reps", type=parse_count, default=100_000)
     common(sp)
 
     sp = sub.add_parser("power", help="asymptotic power against a shift sqrt(n) theta")
     sp.add_argument("--p", required=True)
-    sp.add_argument("--d", type=int, required=True)
+    sp.add_argument("--d", type=parse_count, required=True)
     sp.add_argument("--alpha", type=float, required=True)
     sp.add_argument("--shift", required=True)
     common(sp)
 
     sp = sub.add_parser("samplesize", help="smallest n reaching power beta")
     sp.add_argument("--p", required=True)
-    sp.add_argument("--d", type=int, required=True)
+    sp.add_argument("--d", type=parse_count, required=True)
     sp.add_argument("--alpha", type=float, required=True)
     sp.add_argument("--beta", type=float, required=True)
     sp.add_argument("--theta", required=True)
@@ -141,7 +153,7 @@ def build_parser() -> _Parser:
 
     sp = sub.add_parser("feasible", help="feasibility of a direction for p < 0")
     sp.add_argument("--p", required=True)
-    sp.add_argument("--d", type=int, required=True)
+    sp.add_argument("--d", type=parse_count, required=True)
     sp.add_argument("--alpha", type=float, required=True)
     sp.add_argument("--beta", type=float, required=True)
     sp.add_argument("--u", required=True)
@@ -159,7 +171,7 @@ def build_parser() -> _Parser:
 
     sp = sub.add_parser("are-finite", help="exact finite-d ARE (d <= 3) by quadrature")
     sp.add_argument("--p", required=True)
-    sp.add_argument("--d", type=int, required=True)
+    sp.add_argument("--d", type=parse_count, required=True)
     sp.add_argument("--u", required=True)
     sp.add_argument("--alpha", type=float, required=True)
     sp.add_argument("--beta", type=float, required=True)
@@ -183,27 +195,27 @@ def build_parser() -> _Parser:
 
     sp = sub.add_parser("simulate", help="Monte Carlo size or power of the test")
     sp.add_argument("--p", required=True)
-    sp.add_argument("--d", type=int, required=True)
+    sp.add_argument("--d", type=parse_count, required=True)
     sp.add_argument("--alpha", type=float, required=True)
     sp.add_argument("--shift", default=None, help="omit for size (zero shift)")
     sp.add_argument("--critval", default="mc",
                     help="'mc', 'asymptotic', or an explicit number")
-    sp.add_argument("--reps", type=int, required=True)
+    sp.add_argument("--reps", type=parse_count, required=True)
     common(sp)
 
     sp = sub.add_parser("ks", help="KS distance of the normalized statistic to its limit law")
     sp.add_argument("--p", required=True)
-    sp.add_argument("--d", type=int, required=True)
-    sp.add_argument("--nrep", type=int, required=True)
+    sp.add_argument("--d", type=parse_count, required=True)
+    sp.add_argument("--nrep", type=parse_count, required=True)
     common(sp)
 
     sp = sub.add_parser("schur2-check", help="Schur^2 ordering of two shifted rejection probabilities")
     sp.add_argument("--p", required=True)
-    sp.add_argument("--d", type=int, required=True)
+    sp.add_argument("--d", type=parse_count, required=True)
     sp.add_argument("--c", type=float, required=True)
     sp.add_argument("--v", required=True)
     sp.add_argument("--w", required=True)
-    sp.add_argument("--reps", type=int, required=True)
+    sp.add_argument("--reps", type=parse_count, required=True)
     common(sp)
 
     sp = sub.add_parser("version", help="print the package version")

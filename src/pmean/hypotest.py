@@ -76,9 +76,11 @@ def _pmean_from_logs(pv: float, logs: np.ndarray) -> np.ndarray:
     m, s = _log_power_sum(pv, logs)
     with np.errstate(invalid="ignore"):
         out = np.exp((m + np.log(s / logs.shape[1])) / pv)
-    # m is +inf where a zero coordinate meets p < 0 and -inf on all-zero rows
-    # with p > 0: the p-mean is 0 on both
-    return np.where(np.isfinite(m), out, 0.0)
+    # m is infinite where a zero coordinate meets p < 0 or an infinite one
+    # p > 0 (+inf), and on all-zero rows at p > 0 or all-infinite rows at
+    # p < 0 (-inf): the p-mean is then e^(m/p), 0 or inf
+    with np.errstate(over="ignore"):
+        return np.where(np.isfinite(m), out, np.exp(m / pv))
 
 
 def decide(p, c: float, n: int, sample_mean) -> bool:

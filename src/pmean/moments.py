@@ -256,6 +256,13 @@ def _stable_law(p: float, center: float, scale: float) -> LimitLaw:
 _NEG_HALF_SIGMA = (2.0 / math.pi) ** 0.25
 
 
+def _neg_half_law(p: float, d: int) -> LimitLaw:
+    if d < 2:
+        raise DomainError(f"p = -1/2 needs d >= 2: its rate kappa(d) = sqrt(d ln d) vanishes at d={d}")
+    return _normal_law("normal (d ln d rate)", lambda_p_zero(p),
+                       _NEG_HALF_SIGMA * math.sqrt(d * math.log(d)))
+
+
 def _clt_law(p: float, d: int) -> LimitLaw:
     lam0 = lambda_p_zero(p)
     return _normal_law("normal (CLT)", lam0, math.sqrt(d * (lambda_p_zero(2.0 * p) - lam0 ** 2)))
@@ -269,9 +276,7 @@ _LAWS = {
     Regime.BELOW_NEG_ONE: lambda p, d: _stable_law(p, 0.0, d ** abs(p)),
     Regime.NEG_ONE: lambda p, d: _stable_law(p, mu_tilde(d, 0.0), float(d)),
     Regime.NEG_ONE_TO_NEG_HALF: lambda p, d: _stable_law(p, lambda_p_zero(p), d ** abs(p)),
-    Regime.NEG_HALF: lambda p, d: _normal_law(
-        "normal (d ln d rate)", lambda_p_zero(p),
-        _NEG_HALF_SIGMA * math.sqrt(d * math.log(d))),
+    Regime.NEG_HALF: _neg_half_law,
     Regime.NEG_HALF_TO_ZERO: _clt_law,
     Regime.ZERO: lambda p, d: _normal_law(
         "normal (log-mean CLT)", log_moment(1, 0.0), math.sqrt(d * log_moment(2, 0.0))),

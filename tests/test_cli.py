@@ -184,6 +184,41 @@ class TestContracts:
         assert run(["critval", "--p", "2", "--d", "100", "--alpha", "1.5"]) == 2
 
     @pytest.mark.parametrize("argv", [
+        ["power", "--p", "-0.5", "--d", "1", "--alpha", "0.05", "--shift", "1"],
+        ["samplesize", "--p", "-0.5", "--d", "1", "--alpha", "0.05", "--beta", "0.8",
+         "--theta", "1"],
+        ["critval", "--p", "-0.5", "--d", "1", "--alpha", "0.05"],
+        ["feasible", "--p", "-0.5", "--d", "1", "--alpha", "0.05", "--beta", "0.8",
+         "--u", "1"],
+    ])
+    def test_neg_half_at_d1_exit_2(self, argv, capsys):
+        # kappa_{-1/2}(1) = sqrt(1 ln 1) = 0
+        assert run(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "sqrt(d ln d) vanishes at d=1" in captured.err
+
+    @pytest.mark.parametrize("argv, flag, value", [
+        (["critval", "--p", "2", "--alpha", "0.05"], "d", "1e2"),
+        (["critval", "--p", "3", "--d", "10", "--alpha", "0.05", "--method", "mc",
+          "--seed", "1"], "reps", "2e3"),
+        (["ks", "--p", "2", "--d", "10", "--seed", "2"], "nrep", "1.0e2"),
+    ])
+    def test_counts_in_float_notation(self, argv, flag, value, capsys):
+        code1, out1 = run_capture(argv + [f"--{flag}", value], capsys)
+        code2, out2 = run_capture(argv + [f"--{flag}", str(int(float(value)))], capsys)
+        assert code1 == code2 == 0
+        assert out1 == out2
+        assert json.loads(out1)["config"][flag] == int(float(value))
+
+    def test_counts_not_integral_exit_64(self, capsys):
+        assert run(["critval", "--p", "2", "--d", "1.5", "--alpha", "0.05"]) == 64
+        assert run(["critval", "--p", "2", "--d", "1e400", "--alpha", "0.05"]) == 64
+        assert run(["ks", "--p", "2", "--d", "10", "--nrep", "100.5"]) == 64
+        assert run(["simulate", "--p", "2", "--d", "10", "--alpha", "0.05",
+                    "--reps", "nan"]) == 64
+
+    @pytest.mark.parametrize("argv", [
         ["critval", "--p", "0.5", "--d", "60", "--alpha", "0.05", "--method", "mc",
          "--reps", "4000", "--seed", "11"],
         ["simulate", "--p", "-2", "--d", "40", "--alpha", "0.05",

@@ -52,6 +52,18 @@ class TestPMean:
         assert pmean(0.5, v) > 0.0
         assert pmean(2.0, np.zeros(4)) == 0.0
 
+    def test_infinite_coordinates(self):
+        inf = math.inf
+        assert pmean_rows(1, [[inf, 1.0]])[0] == inf
+        assert pmean_rows(2, [[inf, 1.0]])[0] == inf
+        assert pmean_rows(-1, [[inf, inf]])[0] == inf
+        assert abs(pmean_rows(-1, [[inf, 4.0]])[0] - 8.0) < 1e-14
+        # a zero coordinate still gives 0 at p < 0, next to an infinite one too
+        assert pmean_rows(-2, [[0.0, inf]])[0] == 0.0
+        assert pmean_rows(0.5, [[inf, 0.0]])[0] == inf
+        rows = pmean_rows(3, [[inf, 1.0], [0.0, 0.0], [1.0, 2.0]])
+        assert rows[0] == inf and rows[1] == 0.0 and abs(rows[2] - 4.5 ** (1 / 3)) < 1e-14
+
     def test_overflow_safe(self):
         v = np.array([1e-280, 2e-300, 5e-290])
         out = pmean(-2.0, v)

@@ -268,6 +268,11 @@ class TestRegimeTable:
         with pytest.raises(DomainError):
             regime_row(1.0, 0.95, 10).K(0.05)
 
+    def test_neg_half_needs_d_at_least_2(self):
+        with pytest.raises(DomainError, match="vanishes at d=1"):
+            regime_row(-0.5, 0.05, 1)
+        assert regime_row(-0.5, 0.05, 2).kappa(2) > 0.0
+
     def test_b_p(self):
         assert b_p(-1.0) == -SQRT_2_OVER_PI
         assert abs(b_p(-2.0) - SQRT_2_OVER_PI) < 1e-15
