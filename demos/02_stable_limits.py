@@ -1,9 +1,9 @@
 """The one-sided stable laws behind the p < -1/2 regimes.
 
 For p = -2 the limit of sum |Z_j|^{-2} / d^2 is the standard Levy law, whose
-closed form 2(1 - Phi(1/sqrt(x))) cross-checks the characteristic-function
-inversion.  The Chambers-Mallows-Stuck sampler is validated by KS against the
-inverted CDF.
+closed form 2(1 - Phi(1/sqrt(x))) cross-checks the CDF computed from
+Zolotarev's integral.  The Chambers-Mallows-Stuck sampler is validated by KS
+against that CDF.
 """
 
 import math
@@ -16,7 +16,7 @@ from pmean import (RngStream, StableLaw, b_p, ks_distance, stable_cdf,
 
 law = StableLaw(-2.0, b_p(-2.0))
 print(f"zeta_(-2, b_-2): stable index {law.alpha}, b = {law.b:.6f}")
-print(f"{'x':>10} | {'CF inversion':>14} | {'Levy closed form':>16}")
+print(f"{'x':>10} | {'Zolotarev':>14} | {'Levy closed form':>16}")
 for x in (0.1, 0.26032, 2.198, 10.0, 254.31):
     print(f"{x:10.4f} | {stable_cdf(law, x):14.10f} | "
           f"{2 * (1 - ndtr(1 / math.sqrt(x))):16.10f}")

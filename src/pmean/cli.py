@@ -48,8 +48,7 @@ def parse_p(text: str) -> float:
 
 
 def parse_count(text: str) -> int:
-    """A count such as --d, --reps or --nrep: an integer, also in float
-    notation when the value is integral (1e6)."""
+    """A count (--d, --reps, --nrep): an integer, also in float notation (1e6)."""
     try:
         return int(text)
     except ValueError:

@@ -79,8 +79,9 @@ def _pmean_from_logs(pv: float, logs: np.ndarray) -> np.ndarray:
     # m is infinite where a zero coordinate meets p < 0 or an infinite one
     # p > 0 (+inf), and on all-zero rows at p > 0 or all-infinite rows at
     # p < 0 (-inf): the p-mean is then e^(m/p), 0 or inf
-    with np.errstate(over="ignore"):
-        return np.where(np.isfinite(m), out, np.exp(m / pv))
+    bad = ~np.isfinite(m)
+    out[bad] = np.exp(m[bad] / pv)
+    return out
 
 
 def decide(p, c: float, n: int, sample_mean) -> bool:

@@ -252,7 +252,7 @@ def _stable_law(p: float, center: float, scale: float) -> LimitLaw:
                     lambda q: stable_quantile(law, q), center, scale)
 
 
-# scale / kappa of the p = -1/2 row, kept apart because kappa(1) = 0
+# scale / kappa of the p = -1/2 row, a constant
 _NEG_HALF_SIGMA = (2.0 / math.pi) ** 0.25
 
 

@@ -77,16 +77,12 @@ class _Exponent:
     delta: float
 
     @property
-    def g(self) -> float:
-        """Modulus decay rate: |phi(u)| = exp(-g |u|^a)."""
-        if self.a != 1.0:
-            return self.C * math.cos(math.pi * self.a / 2.0)
-        return self.C
-
-    @property
     def scale(self) -> float:
-        """gamma in  zeta = gamma Y + shift,  Y ~ S1(a, beta=1)."""
-        return self.g ** (1.0 / self.a)
+        """gamma in  zeta = gamma Y + shift,  Y ~ S1(a, beta=1); the modulus
+        of the CF is exp(-(gamma |u|)^a)."""
+        if self.a != 1.0:
+            return (self.C * math.cos(math.pi * self.a / 2.0)) ** (1.0 / self.a)
+        return self.C
 
     @property
     def shift(self) -> float:
@@ -215,9 +211,7 @@ class _Zolotarev:
         return out
 
 
-@lru_cache(maxsize=256)
-def _zolotarev(a: float, beta: int) -> _Zolotarev:
-    return _Zolotarev(a, beta)
+_zolotarev = lru_cache(maxsize=256)(_Zolotarev)
 
 
 def _s1_cdf(a: float, y: np.ndarray) -> np.ndarray:
@@ -261,10 +255,10 @@ def _quantile_cached(law: StableLaw, q: float) -> float:
     hi = ex.shift + max(4.0 * step, 3.0 * (CPLUS / (1.0 - q)) ** (1.0 / ex.a))
     while _cdf_exponent(ex, hi) < q:
         hi = ex.shift + 2.0 * (hi - ex.shift)
-    lo = ex.shift - 4.0 * step
     if ex.a < 1.0:
         lo = ex.shift     # F = 0 at the lower end of the support
     else:
+        lo = ex.shift - 4.0 * step
         while _cdf_exponent(ex, lo) > q:
             lo = ex.shift - 2.0 * (ex.shift - lo)
     return find_root(lambda x: _cdf_exponent(ex, x) - q, lo, hi, tol=1e-11)
