@@ -25,7 +25,7 @@ from scipy import integrate
 from scipy.special import gammaln, ndtr
 
 from .moments import ExtendedP, lambda_p, regime_row
-from .numcore import AccuracyError, DomainError, Quadrature, expand_bracket, find_root
+from .numcore import AccuracyError, DomainError, expand_bracket, find_root
 from .hypotest import pmean
 
 # psi'(1/2), psi''(1/2), psi'''(1/2) for the ln r Taylor branch at p = 0
@@ -73,14 +73,14 @@ def a_p(p) -> float:
     return abs(v) / math.sqrt(2.0 * float(np.expm1(_ln_r(v))))
 
 
-def a_p_moment_route(p: float, quad: Quadrature = Quadrature()) -> float:
+def a_p_moment_route(p: float) -> float:
     """a_p via the sufficient-shift constants: (K_2/K_p) |p| lambda_p(0) / 2,
     with the lambda pieces evaluated by quadrature (independent of the Gamma
     route up to the normal quantiles)."""
     if not (-0.5 < p) or p == 0.0 or not math.isfinite(p):
         raise DomainError("moment route needs finite p in (-1/2, inf), p != 0")
-    lam_p0 = lambda_p(p, 0.0, quad)
-    lam_2p0 = lambda_p(2.0 * p, 0.0, quad)
+    lam_p0 = lambda_p(p, 0.0)
+    lam_2p0 = lambda_p(2.0 * p, 0.0)
     # K_2 / K_p = sqrt(lambda_{2,2}(0) / lambda_{p,2}(0)); the quantile factor cancels
     ratio = math.sqrt(2.0 / (lam_2p0 - lam_p0 ** 2))
     return ratio * abs(p) * lam_p0 / 2.0
@@ -294,8 +294,7 @@ def _log_slope(dims: np.ndarray, ratios: np.ndarray) -> float:
     return float(np.dot(x, y) / np.dot(x, x))
 
 
-def classify_are(p, useq: DirectionSequence, alpha: float, beta: float,
-                 dead_band: float = GROWTH_DEAD_BAND) -> AREVerdict:
+def classify_are(p, useq: DirectionSequence, alpha: float, beta: float) -> AREVerdict:
     """Large-d ARE verdict for the direction sequence, decided from the probes'
     growth against the phase-transition threshold by log-log regression.
 
@@ -321,24 +320,24 @@ def classify_are(p, useq: DirectionSequence, alpha: float, beta: float,
         vals = np.array([np.max(np.abs(u)) for u in probes])
         thr = dims ** 0.25 * np.sqrt(np.log(dims))
         slope = _log_slope(dims, vals / thr)
-        if slope < -dead_band:
+        if slope < -GROWTH_DEAD_BAND:
             return AREVerdict("zero", 0.0, f"<u>_inf << d^(1/4) sqrt(ln d): slope {slope:+.4f}")
-        if slope > dead_band:
+        if slope > GROWTH_DEAD_BAND:
             return AREVerdict("infinite", None, f"<u>_inf >> d^(1/4) sqrt(ln d): slope {slope:+.4f}")
         raise IndeterminateGrowthError(
-            f"growth slope {slope:+.4f} within +-{dead_band} of the p=inf threshold")
+            f"growth slope {slope:+.4f} within +-{GROWTH_DEAD_BAND} of the p=inf threshold")
 
     if v > 2.0:
         vals = np.array([pmean(v, u) for u in probes])
         expo = (v - 2.0) / (4.0 * v)
         slope = _log_slope(dims, vals / dims ** expo)
-        if slope < -dead_band:
+        if slope < -GROWTH_DEAD_BAND:
             return AREVerdict("finite", a_p(v),
                               f"<u>_p << d^({expo:.4g}): slope {slope:+.4f}; ARE = a_p")
-        if slope > dead_band:
+        if slope > GROWTH_DEAD_BAND:
             return AREVerdict("infinite", None, f"<u>_p >> d^({expo:.4g}): slope {slope:+.4f}")
         raise IndeterminateGrowthError(
-            f"growth slope {slope:+.4f} within +-{dead_band} of the threshold exponent")
+            f"growth slope {slope:+.4f} within +-{GROWTH_DEAD_BAND} of the threshold exponent")
 
     # p in (-1/2, 2)
     if equalized:
@@ -347,7 +346,7 @@ def classify_are(p, useq: DirectionSequence, alpha: float, beta: float,
     if np.any(vals == 0.0):
         return AREVerdict("zero", 0.0, "||u||_{p,2} = 0 at a probe dimension")
     slope = _log_slope(dims, vals / dims ** 0.25)
-    if slope < -dead_band:
+    if slope < -GROWTH_DEAD_BAND:
         return AREVerdict("zero", 0.0, f"||u||_{{p,2}} << d^(1/4): slope {slope:+.4f}")
     return AREVerdict("interval", a_p(v),
                       f"||u||_{{p,2}} of order d^(1/4) (slope {slope:+.4f}); ARE in (0, a_p]")
@@ -499,8 +498,7 @@ def _prob_le(p: float, v: np.ndarray, c: float, tol: float = 1e-11) -> float:
     return val
 
 
-def are_finite(p, d: int, u, alpha: float, beta: float,
-               quad: Optional[Quadrature] = None) -> float:
+def are_finite(p, d: int, u, alpha: float, beta: float) -> float:
     """Exact finite-d ARE of the p-mean test vs the 2-mean test in the
     continuous-sample-size Gaussian model: t_2^2 / t_p^2 where t_r solves
     P(<Z + t u>_r > c_r) = beta at the exact size-alpha critical value c_r."""
@@ -515,11 +513,10 @@ def are_finite(p, d: int, u, alpha: float, beta: float,
     if norm == 0.0:
         raise DomainError("u must be nonzero")
     u = u / norm
-    tol = quad.abs_tol if quad is not None else 1e-11
 
     def solve_for(pp):
         def size_gap(c):
-            return (1.0 - _prob_le(pp, np.zeros(d), c, tol=tol)) - alpha
+            return (1.0 - _prob_le(pp, np.zeros(d), c)) - alpha
 
         c_hi = 1.0
         while size_gap(c_hi) > 0.0:
@@ -530,7 +527,7 @@ def are_finite(p, d: int, u, alpha: float, beta: float,
         c = find_root(size_gap, c_lo, c_hi, tol=1e-13)
 
         def power_gap(t):
-            return (1.0 - _prob_le(pp, t * u, c, tol=tol)) - beta
+            return (1.0 - _prob_le(pp, t * u, c)) - beta
 
         return find_root(power_gap, *expand_bracket(power_gap), tol=1e-13)
 

@@ -27,7 +27,7 @@ from typing import Callable
 import numpy as np
 from scipy.special import gammaln, log_ndtr, ndtr, ndtri
 
-from .numcore import DEFAULT_QUAD, DomainError, Quadrature, gauss_expect
+from .numcore import DomainError, gauss_expect
 from .stable import StableLaw, stable_cdf, stable_quantile
 
 SQRT_2_OVER_PI = math.sqrt(2.0 / math.pi)
@@ -114,19 +114,18 @@ def lambda_p_zero(p: float) -> float:
 
 
 @lru_cache(maxsize=200_000)
-def _lambda_p_cached(p: float, s: float, abs_tol: float, rel_tol: float) -> float:
-    quad = Quadrature(abs_tol=abs_tol, rel_tol=rel_tol, max_subdiv=300, points=(0.0,))
-    return gauss_expect(lambda y: abs(y) ** p, s, quad)
+def _lambda_p_cached(p: float, s: float) -> float:
+    return gauss_expect(lambda y: abs(y) ** p, s, points=(0.0,))
 
 
-def lambda_p(p: float, s: float, quad: Quadrature = DEFAULT_QUAD) -> float:
+def lambda_p(p: float, s: float) -> float:
     """E|Z + s|^p by singularity-split quadrature; requires p > -1."""
     if p <= -1.0:
         raise DomainError(f"lambda_p requires p > -1 (moment infinite), got p={p}")
-    return _lambda_p_cached(float(p), float(abs(s)), quad.abs_tol, quad.rel_tol)
+    return _lambda_p_cached(float(p), float(abs(s)))
 
 
-def lambda_pm(p: float, m: float, s: float, quad: Quadrature = DEFAULT_QUAD) -> float:
+def lambda_pm(p: float, m: float, s: float) -> float:
     """Central absolute moment E||Z+s|^p - lambda_p(s)|^m; requires p > -1/m."""
     if m <= 0:
         raise DomainError(f"lambda_pm requires m > 0, got m={m}")
@@ -134,24 +133,21 @@ def lambda_pm(p: float, m: float, s: float, quad: Quadrature = DEFAULT_QUAD) -> 
         raise DomainError(f"lambda_pm requires p > -1/m = {-1.0/m}, got p={p}")
     if m == 2.0 and 2.0 * p > -1.0:
         # lambda_{p,2}(s) = lambda_{2p}(s) - lambda_p(s)^2, numerically stabler
-        return lambda_p(2.0 * p, s, quad) - lambda_p(p, s, quad) ** 2
-    c = lambda_p(p, s, quad)
-    pts = [0.0]
+        return lambda_p(2.0 * p, s) - lambda_p(p, s) ** 2
+    c = lambda_p(p, s)
+    pts = (0.0,)
     if p != 0.0 and c > 0.0:
         r = c ** (1.0 / p)
-        pts += [-r, r]
-    q = Quadrature(abs_tol=quad.abs_tol, rel_tol=quad.rel_tol,
-                   max_subdiv=max(quad.max_subdiv, 300), points=tuple(pts))
-    return gauss_expect(lambda y: abs(abs(y) ** p - c) ** m, s, q)
+        pts += (-r, r)
+    return gauss_expect(lambda y: abs(abs(y) ** p - c) ** m, s, points=pts)
 
 
 @lru_cache(maxsize=100_000)
 def _log_mean_cached(s: float) -> float:
-    quad = Quadrature(max_subdiv=300, points=(0.0,))
-    return gauss_expect(lambda y: math.log(abs(y)) if y != 0.0 else -math.inf, s, quad)
+    return gauss_expect(lambda y: math.log(abs(y)) if y != 0.0 else -math.inf, s, points=(0.0,))
 
 
-def log_moment(m: int, s: float, quad: Quadrature = DEFAULT_QUAD) -> float:
+def log_moment(m: int, s: float) -> float:
     """E ln|Z+s| for m = 1; central moments E|ln|Z+s| - E ln|Z+s||^m for m in {2, 3}."""
     if m not in (1, 2, 3):
         raise DomainError(f"log_moment supports m in {{1,2,3}}, got {m}")
@@ -161,21 +157,17 @@ def log_moment(m: int, s: float, quad: Quadrature = DEFAULT_QUAD) -> float:
         return mean
     if m == 2:
         # Var ln|Z+s| = E ln^2|Z+s| - (E ln|Z+s|)^2
-        q = Quadrature(abs_tol=quad.abs_tol, rel_tol=quad.rel_tol,
-                       max_subdiv=300, points=(0.0,))
-        second = gauss_expect(lambda y: math.log(abs(y)) ** 2, s, q)
+        second = gauss_expect(lambda y: math.log(abs(y)) ** 2, s, points=(0.0,))
         return second - mean ** 2
     r = math.exp(mean)
-    q = Quadrature(abs_tol=quad.abs_tol, rel_tol=quad.rel_tol,
-                   max_subdiv=300, points=(0.0, -r, r))
-    return gauss_expect(lambda y: abs(math.log(abs(y)) - mean) ** 3, s, q)
+    return gauss_expect(lambda y: abs(math.log(abs(y)) - mean) ** 3, s, points=(0.0, -r, r))
 
 
 @lru_cache(maxsize=100_000)
 def _mu_tilde_cached(d: int, s: float) -> float:
     inv = 1.0 / d
-    quad = Quadrature(max_subdiv=300, points=(-inv, 0.0, inv))
-    return gauss_expect(lambda y: min(1.0 / abs(y), float(d)) if y != 0.0 else float(d), s, quad)
+    return gauss_expect(lambda y: min(1.0 / abs(y), float(d)) if y != 0.0 else float(d), s,
+                        points=(-inv, 0.0, inv))
 
 
 def mu_tilde(d: int, s: float) -> float:

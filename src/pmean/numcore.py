@@ -69,38 +69,21 @@ def normal_quantile(q: float) -> float:
     return float(ndtri(q))
 
 
-@dataclass(frozen=True)
-class Quadrature:
-    """Tolerances and subdivision budget for the Gaussian-expectation integrals.
-
-    ``points`` lists locations (in the argument of the integrand f) where f is
-    singular or non-smooth; the integration is split exactly there.
-    """
-
-    abs_tol: float = 1e-10
-    rel_tol: float = 1e-10
-    max_subdiv: int = 200
-    points: tuple = ()
-
-    def __post_init__(self):
-        if self.abs_tol <= 0 or self.rel_tol <= 0:
-            raise DomainError("quadrature tolerances must be strictly positive")
-        if self.max_subdiv < 1:
-            raise DomainError("max_subdiv must be >= 1")
+# Absolute and relative tolerance, and subdivision budget, of gauss_expect.
+QUAD_TOL = 1e-10
+QUAD_SUBDIV = 300
 
 
-DEFAULT_QUAD = Quadrature()
-
-
-def gauss_expect(f: Callable[[float], float], s: float, quad: Quadrature = DEFAULT_QUAD) -> float:
+def gauss_expect(f: Callable[[float], float], s: float, points: tuple = ()) -> float:
     """E f(Z + s) for Z ~ N(0,1), via adaptive quadrature over z in [-R, R].
 
-    ``quad.points`` are locations in the *argument of f* where f is singular
-    (e.g. 0 for f = |.|^p with p < 0); they are mapped into the z domain.
-    Integrating in z keeps the Gaussian factor fully resolved for huge |s|.
+    ``points`` are locations in the *argument of f* where f is singular or
+    non-smooth (e.g. 0 for f = |.|^p with p < 0); the integration is split
+    exactly there.  Integrating in z keeps the Gaussian factor fully resolved
+    for huge |s|.
     """
     R = GAUSS_TAIL_RADIUS
-    pts = sorted(p - s for p in quad.points if -R < p - s < R)
+    pts = sorted(p - s for p in points if -R < p - s < R)
 
     def integrand(z):
         return f(z + s) * math.exp(-0.5 * z * z) / SQRT_2PI
@@ -110,10 +93,9 @@ def gauss_expect(f: Callable[[float], float], s: float, quad: Quadrature = DEFAU
         val, err = integrate.quad(
             integrand, -R, R,
             points=pts if pts else None,
-            epsabs=quad.abs_tol, epsrel=quad.rel_tol, limit=quad.max_subdiv,
+            epsabs=QUAD_TOL, epsrel=QUAD_TOL, limit=QUAD_SUBDIV,
         )
-    tol = max(quad.abs_tol, quad.rel_tol * abs(val))
-    if not math.isfinite(val) or err > 10.0 * tol:
+    if not math.isfinite(val) or err > 10.0 * QUAD_TOL * max(1.0, abs(val)):
         raise AccuracyError("gauss_expect did not converge", val, err)
     return val
 
