@@ -1,13 +1,41 @@
-import io
+import argparse
 import json
 import math
-import sys
 
 import numpy as np
 import pytest
 
 from pmean.cli import build_parser, parse_p, parse_vector, run
 from pmean.numcore import DomainError
+
+
+# One small valid command line per subcommand.
+MINIMAL = {
+    "version": ["version"],
+    "critval": ["critval", "--p", "2", "--d", "10", "--alpha", "0.05"],
+    "power": ["power", "--p", "2", "--d", "3", "--alpha", "0.05", "--shift", "1,0,0"],
+    "samplesize": ["samplesize", "--p", "2", "--d", "3", "--alpha", "0.05", "--beta", "0.8",
+                   "--theta", "1,0,0"],
+    "feasible": ["feasible", "--p", "1", "--d", "3", "--alpha", "0.05", "--beta", "0.8",
+                 "--u", "1,0,0"],
+    "are": ["are", "--p", "2", "--alpha", "0.05", "--beta", "0.8", "--useq", "spike"],
+    "are-finite": ["are-finite", "--p", "1", "--d", "1", "--u", "1", "--alpha", "0.05",
+                   "--beta", "0.8"],
+    "ap-curve": ["ap-curve", "--from", "1", "--to", "2", "--step", "0.5", "--format", "json"],
+    "verify-ap": ["verify-ap", "--from", "1", "--to", "3", "--step", "0.5"],
+    "simulate": ["simulate", "--p", "2", "--d", "3", "--alpha", "0.05", "--reps", "1000",
+                 "--critval", "asymptotic"],
+    "ks": ["ks", "--p", "2", "--d", "10", "--nrep", "100"],
+    "schur2-check": ["schur2-check", "--p", "1", "--d", "2", "--c", "1.5",
+                     "--v", "1.4142135623730951,0", "--w", "1,1", "--reps", "1000"],
+}
+
+
+def subcommands():
+    """name -> subparser, for every subcommand of build_parser()."""
+    action = next(a for a in build_parser()._actions
+                  if isinstance(a, argparse._SubParsersAction))
+    return action.choices
 
 
 def run_capture(argv, capsys):
@@ -235,6 +263,11 @@ class TestContracts:
          "--w", "1.41421356237,1.41421356238", "--reps", "2000", "--seed", "5"],
         ["verify-ap", "--from", "-0.4", "--to", "3", "--step", "0.1"],
         ["are", "--p", "-3", "--alpha", "0.05", "--beta", "0.95", "--useq", "equalized"],
+        ["version"],
+        ["ap-curve", "--from", "-0.4", "--to", "3", "--step", "0.2", "--psi", "--format", "json"],
+        ["critval", "--p", "-0.7", "--d", "500", "--alpha", "0.05"],
+        ["simulate", "--p", "3", "--d", "40", "--alpha", "0.05", "--reps", "3000", "--seed", "4",
+         "--shift", "equalized:0.3"],
     ])
     def test_json_roundtrip_byte_identical(self, argv, capsys):
         code1, out1 = run_capture(argv, capsys)
@@ -264,3 +297,91 @@ class TestContracts:
         parser = build_parser()
         args = parser.parse_args(["critval", "--p", "2", "--d", "10", "--alpha", "0.05"])
         assert args.threads == 3
+
+    @pytest.mark.parametrize("name", sorted(MINIMAL))
+    def test_config_is_the_parsed_namespace(self, name, capsys):
+        # the echoed config is vars(args): every flag, nothing else
+        assert set(MINIMAL) == set(subcommands())
+        argv = MINIMAL[name]
+        code, out = run_capture(argv, capsys)
+        assert code in (0, 3)
+        args = vars(build_parser().parse_args(argv))
+        assert json.loads(out)["config"] == json.loads(json.dumps(args))
+
+    @pytest.mark.parametrize("argv, code", [
+        (["power", "--p", "2", "--d", "3", "--alpha", "0.05", "--shift", "nan,1,1"], 2),
+        (["power", "--p", "2", "--d", "3", "--alpha", "0.05", "--shift", "equalized:inf"], 2),
+        (["simulate", "--p", "2", "--d", "3", "--alpha", "0.05", "--reps", "1000",
+          "--critval", "nan"], 2),
+        (["simulate", "--p", "2", "--d", "3", "--alpha", "0.05", "--reps", "1000",
+          "--critval", "-inf"], 2),
+        (["simulate", "--p", "2", "--d", "3", "--alpha", "0.05", "--reps", "1000",
+          "--shift", "nan,0,0", "--critval", "asymptotic"], 2),
+        (["schur2-check", "--p", "1", "--d", "2", "--c", "nan", "--v", "1.4142135623730951,0",
+          "--w", "1,1", "--reps", "1000"], 64),
+        (["feasible", "--p", "-2", "--d", "3", "--alpha", "0.05", "--beta", "0.8",
+          "--u", "1,1,1", "--slack", "nan"], 64),
+        (["samplesize", "--p", "2", "--d", "3", "--alpha", "0.05", "--beta", "0.8",
+          "--theta", "1,1,1", "--slack", "nan"], 64),
+        (["samplesize", "--p", "2", "--d", "3", "--alpha", "0.05", "--beta", "inf",
+          "--theta", "1,1,1"], 64),
+        (["are-finite", "--p", "1", "--d", "2", "--u", "nan,1", "--alpha", "0.05",
+          "--beta", "0.8"], 2),
+        (["critval", "--p", "2", "--d", "3", "--alpha", "-inf"], 64),
+        (["ap-curve", "--from", "nan", "--to", "1", "--step", "0.1"], 64),
+        (["verify-ap", "--from", "0", "--to", "inf", "--step", "0.1"], 64),
+        (["verify-ap", "--from", "0", "--to", "1", "--step", "nan"], 64),
+    ])
+    def test_non_finite_inputs_rejected(self, argv, code, capsys):
+        assert run(argv) == code
+        assert capsys.readouterr().out == ""
+
+    @pytest.mark.parametrize("cmd", ["ap-curve", "verify-ap"])
+    @pytest.mark.parametrize("lo, hi, step, flag", [
+        ("0", "1", "0", "--step"),
+        ("0", "1", "-0.1", "--step"),
+        ("2", "1", "0.1", "--from"),
+    ])
+    def test_bad_grid_exit_2(self, cmd, lo, hi, step, flag, capsys):
+        assert run([cmd, "--from", lo, "--to", hi, "--step", step]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert flag in captured.err
+
+    def test_verify_ap_grid_outside_domain_exit_2(self, capsys):
+        # every point of the grid lies at or below p = -1/2
+        assert run(["verify-ap", "--from", "-0.9", "--to", "-0.6", "--step", "0.1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "--from" in captured.err
+
+    @pytest.mark.parametrize("threads", ["0", "-3", "1.5", "abc"])
+    def test_bad_threads_exit_64(self, threads, capsys, monkeypatch):
+        argv = MINIMAL["critval"]
+        assert run(argv + ["--threads", threads]) == 64
+        monkeypatch.setenv("PMEAN_THREADS", threads)
+        assert run(argv) == 64
+        assert capsys.readouterr().out == ""
+        # version has no --threads, so the variable does not concern it
+        assert run(["version"]) == 0
+
+    def test_dims_parsed_as_counts(self, capsys):
+        base = ["are", "--p", "3", "--alpha", "0.05", "--beta", "0.8", "--useq", "spike"]
+        for dims in ("100.9,10000,1000000", "100,1e4,1e6.5", "0,100,10000"):
+            assert run(base + ["--dims", dims]) == 64
+        _, out1 = run_capture(base + ["--dims", "100,10000,1000000"], capsys)
+        _, out2 = run_capture(base + ["--dims", "1e2,1e4,1e6"], capsys)
+        assert json.loads(out1)["result"] == json.loads(out2)["result"]
+
+    @pytest.mark.parametrize("name", sorted(set(MINIMAL) - {"version", "ap-curve"}))
+    def test_csv_only_on_ap_curve(self, name, capsys):
+        assert run(MINIMAL[name] + ["--format", "csv"]) == 64
+        assert capsys.readouterr().out == ""
+
+    def test_ap_curve_out_file(self, tmp_path, capsys):
+        argv = ["ap-curve", "--from", "1", "--to", "2", "--step", "0.5"]
+        code, out = run_capture(argv, capsys)
+        assert run(argv + ["--out", str(tmp_path / "curve.csv")]) == 0
+        assert capsys.readouterr().out == ""
+        assert (tmp_path / "curve.csv").read_text() == out
+        # an --out that cannot be opened is a configuration error
+        assert run(argv + ["--out", str(tmp_path / "missing" / "curve.csv")]) == 2
