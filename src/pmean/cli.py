@@ -30,6 +30,12 @@ from .mc import empirical_critval, empirical_power, limit_law_ks, schur2_check
 from .numcore import AccuracyError, BracketError, ConfigError, DomainError, RngStream
 
 
+# The subcommands that draw random numbers, the only ones with --seed/--stream/--threads.
+SIMULATING = ("critval", "simulate", "ks", "schur2-check")
+# The most points an ap-curve or verify-ap grid may have.
+MAX_GRID_POINTS = 1_000_000
+
+
 class UsageError(Exception):
     pass
 
@@ -87,18 +93,19 @@ def parse_vector(spec: str, d: int) -> np.ndarray:
     """Vector inputs: comma literals, ``equalized:<t>``, ``spike:<t>``,
     ``block:<k>:<s>``, or a readable file of whitespace-separated numbers."""
     s = spec.strip()
-    if s.startswith("equalized:"):
-        v = float(s.split(":", 1)[1]) * np.ones(d)
-    elif s.startswith("spike:"):
-        v = np.zeros(d)
-        v[0] = float(s.split(":", 1)[1]) * math.sqrt(d)
-    elif s.startswith("block:"):
-        _, k, val = s.split(":")
-        k = int(k)
+    kind, _, rest = s.partition(":")
+    if kind in ("equalized", "spike", "block"):
+        # equalized:<t> is block:<d>:<t>, and spike:<t> is block:1:<t sqrt(d)>
+        try:
+            k, t = rest.split(":") if kind == "block" else (d if kind == "equalized" else 1, rest)
+            k, t = int(k), float(t)
+        except ValueError:
+            raise DomainError(f"malformed vector {spec!r}: expected equalized:<t>, "
+                              f"spike:<t> or block:<k>:<s>") from None
         if not 1 <= k <= d:
             raise DomainError(f"block size {k} outside [1, d={d}]")
         v = np.zeros(d)
-        v[:k] = float(val)
+        v[:k] = t * math.sqrt(d) if kind == "spike" else t
     elif "," in s:
         v = np.array([float(x) for x in s.split(",")], dtype=float)
     elif os.path.exists(s):
@@ -145,16 +152,16 @@ def build_parser() -> _Parser:
     threads = os.environ.get("PMEAN_THREADS", "1")
     shared = {"p": None, "d": parse_count, "alpha": parse_finite, "beta": parse_finite}
 
-    def command(name, help, *flags, seed=True, formats=("json",)):
+    def command(name, help, *flags, formats=("json",)):
         """A subcommand with the required ``flags`` (keys of ``shared``)."""
         sp = sub.add_parser(name, help=help)
         for flag in flags:
             sp.add_argument("--" + flag, type=shared[flag], required=True)
         sp.add_argument("--format", choices=formats, default=formats[0])
-        # the string default goes through parse_threads too, so a bad
-        # PMEAN_THREADS is a usage error like a bad --threads
-        sp.add_argument("--threads", type=parse_threads, default=threads)
-        if seed:
+        if name in SIMULATING:
+            # the string default goes through parse_threads too, so a bad
+            # PMEAN_THREADS is a usage error like a bad --threads
+            sp.add_argument("--threads", type=parse_threads, default=threads)
             sp.add_argument("--seed", type=int, default=0)
             sp.add_argument("--stream", type=int, default=0)
         return sp
@@ -189,13 +196,13 @@ def build_parser() -> _Parser:
         sp.add_argument("--step", type=parse_finite, required=True)
         return sp
 
-    sp = grid(command("ap-curve", "tabulate the equalized-ARE constant a_p", seed=False,
+    sp = grid(command("ap-curve", "tabulate the equalized-ARE constant a_p",
                       formats=("csv", "json")))
     sp.add_argument("--psi", action="store_true",
                     help="add the figure coordinates psi(p/4), psi(a_p)")
     sp.add_argument("--out", default="-")
 
-    grid(command("verify-ap", "Gamma-ratio bound r(p) > 1 + p^2/2 on a grid", seed=False))
+    grid(command("verify-ap", "Gamma-ratio bound r(p) > 1 + p^2/2 on a grid"))
 
     sp = command("simulate", "Monte Carlo size or power of the test", "p", "d", "alpha")
     sp.add_argument("--shift", default=None, help="omit for size (zero shift)")
@@ -280,6 +287,9 @@ def _p_grid(args) -> np.ndarray:
         raise DomainError(f"--step must be positive, got {args.step}")
     if args.lo > args.hi:
         raise DomainError(f"--from {args.lo} exceeds --to {args.hi}: the grid is empty")
+    # counted before np.arange allocates its ceil((hi - lo) / step + 1/2) points
+    if (args.hi - args.lo) / args.step + 0.5 > MAX_GRID_POINTS:
+        raise DomainError(f"--step {args.step} gives a grid of over {MAX_GRID_POINTS} points")
     return np.arange(args.lo, args.hi + args.step / 2.0, args.step)
 
 

@@ -50,12 +50,25 @@ def pmean_rows(p, x: np.ndarray) -> np.ndarray:
     x = np.abs(np.asarray(x, dtype=float))
     if x.ndim != 2 or x.shape[1] == 0:
         raise DomainError("pmean expects a nonempty vector or 2-D array of rows")
-    if pv == math.inf:
-        return x.max(axis=1)
-    if pv == -math.inf:
-        return x.min(axis=1)
-    with np.errstate(divide="ignore"):
-        return _pmean_from_logs(pv, np.log(x))
+    return _abs_pmean_rows([pv], x)[0]
+
+
+def _abs_pmean_rows(pvs, az: np.ndarray) -> list:
+    """Row-wise p-means of the nonnegative 2-D array az, one array per
+    extended p value in pvs.  ln az is taken once, and only when some p is
+    finite: the max and min rows at p = +-inf need no logarithm."""
+    if any(math.isfinite(pv) for pv in pvs):
+        with np.errstate(divide="ignore"):
+            logs = np.log(az)
+    out = []
+    for pv in pvs:
+        if pv == math.inf:
+            out.append(az.max(axis=1))
+        elif pv == -math.inf:
+            out.append(az.min(axis=1))
+        else:
+            out.append(_pmean_from_logs(pv, logs))
+    return out
 
 
 def _log_power_sum(pv: float, logs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -16,7 +16,7 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .hypotest import _log_power_sum, _pmean_from_logs, pmean_rows
+from .hypotest import _abs_pmean_rows, _log_power_sum, pmean_rows
 from .moments import ExtendedP, limit_law
 from .numcore import ConfigError, DomainError, RngStream
 
@@ -35,14 +35,6 @@ class MCResult:
         return self.estimate - self.half_width, self.estimate + self.half_width
 
 
-def _chunk_plan(reps: int, d: int) -> list[int]:
-    rows = max(1, min(65536, (1 << 22) // max(d, 1)))
-    sizes = [rows] * (reps // rows)
-    if reps % rows:
-        sizes.append(reps % rows)
-    return sizes
-
-
 def _run_chunks(fn: Callable[[int, int], object], sizes: Sequence[int], threads: int) -> list:
     """fn(chunk_index, chunk_size) -> result, executed over a fixed partition;
     results returned in chunk order regardless of scheduling."""
@@ -53,47 +45,59 @@ def _run_chunks(fn: Callable[[int, int], object], sizes: Sequence[int], threads:
         return [f.result() for f in futures]
 
 
+def _draw_chunks(rows: Callable[[np.ndarray], object], rng: RngStream, reps: int, d: int,
+                 threads: int) -> list:
+    """rows(z) over reps standard normal rows of width d, in chunks of at most
+    2^22 elements (and 65536 rows); chunk i is drawn from rng.substream(i),
+    and the results come back in chunk order."""
+    per = max(1, min(65536, (1 << 22) // max(d, 1)))
+    sizes = [per] * (reps // per) + ([reps % per] if reps % per else [])
+
+    def one(i: int, m: int):
+        return rows(rng.substream(i).generator().standard_normal((m, d)))
+
+    return _run_chunks(one, sizes, threads)
+
+
+def _check_reps(reps: int, floor: int = 1000, name: str = "reps") -> None:
+    if reps < floor:
+        raise ConfigError(f"Monte Carlo needs {name} >= {floor}, got {reps}")
+
+
 def _proportion_result(count: int, reps: int, rng: RngStream) -> MCResult:
     est = count / reps
     hw = Z95 * math.sqrt(max(est * (1.0 - est), 1e-300) / reps)
     return MCResult(est, hw, reps, rng.seed, rng.stream)
 
 
+def _exceedances(eps: Sequence[ExtendedP], crits: Sequence[float], shift, d: int, reps: int,
+                 rng: RngStream, threads: int) -> np.ndarray:
+    """Per p, the number of draws with <Z + shift>_p > crit (shift None: zero)."""
+
+    def rows(z: np.ndarray) -> np.ndarray:
+        if shift is not None:
+            z += shift
+        return [np.count_nonzero(t > c) for t, c in zip(_stat_rows_multi(eps, z), crits)]
+
+    return np.sum(_draw_chunks(rows, rng, reps, d, threads), axis=0)
+
+
 def empirical_power(p, d: int, shift, c: float, reps: int, rng: RngStream,
                     threads: int = 1) -> MCResult:
     """Proportion estimate of P(<Z + s>_p > c) with a binomial 95% CI."""
-    if reps < 1000:
-        raise ConfigError(f"empirical_power needs reps >= 1000, got {reps}")
+    _check_reps(reps)
     s = np.asarray(shift, dtype=float)
     if s.shape != (d,):
         raise DomainError(f"shift must have dimension d={d}")
-    ep = ExtendedP.of(p)
-    sizes = _chunk_plan(reps, d)
-
-    def one(i: int, m: int) -> int:
-        z = rng.substream(i).generator().standard_normal((m, d))
-        z += s
-        return int(np.count_nonzero(pmean_rows(ep, z) > c))
-
-    count = sum(_run_chunks(one, sizes, threads))
-    return _proportion_result(count, reps, rng)
+    count = _exceedances([ExtendedP.of(p)], [c], s, d, reps, rng, threads)[0]
+    return _proportion_result(int(count), reps, rng)
 
 
 def empirical_critval(p, d: int, alpha: float, reps: int, rng: RngStream,
                       threads: int = 1) -> MCResult:
     """Empirical (1-alpha)-quantile of <Z>_p, CI from binomial order statistics."""
-    if reps < 1000:
-        raise ConfigError(f"empirical_critval needs reps >= 1000, got {reps}")
-    if not 0.0 < alpha < 1.0:
-        raise DomainError(f"alpha must be in (0,1), got {alpha}")
     ep = ExtendedP.of(p)
-    sizes = _chunk_plan(reps, d)
-
-    def one(i: int, m: int) -> np.ndarray:
-        z = rng.substream(i).generator().standard_normal((m, d))
-        return pmean_rows(ep, z)
-
-    return _upper_quantile(np.concatenate(_run_chunks(one, sizes, threads)), alpha, rng)
+    return empirical_critval_multi([ep], d, alpha, reps, rng, threads)[ep.value]
 
 
 def _upper_quantile(stats: np.ndarray, alpha: float, rng: RngStream) -> MCResult:
@@ -110,35 +114,18 @@ def _upper_quantile(stats: np.ndarray, alpha: float, rng: RngStream) -> MCResult
 
 def _stat_rows_multi(eps: Sequence[ExtendedP], z: np.ndarray) -> list[np.ndarray]:
     """<.>_p row statistics for several p, sharing log|z|."""
-    az = np.abs(z)
-    with np.errstate(divide="ignore"):
-        logs = np.log(az)
-    out = []
-    for ep in eps:
-        pv = ep.value
-        if pv == math.inf:
-            out.append(az.max(axis=1))
-        elif pv == -math.inf:
-            out.append(az.min(axis=1))
-        else:
-            out.append(_pmean_from_logs(pv, logs))
-    return out
+    return _abs_pmean_rows([ep.value for ep in eps], np.abs(z))
 
 
 def empirical_critval_multi(ps: Sequence, d: int, alpha: float, reps: int,
                             rng: RngStream, threads: int = 1) -> dict:
     """Empirical (1-alpha)-quantiles of <Z>_p for several p from one shared
     set of draws."""
-    if reps < 1000:
-        raise ConfigError(f"empirical_critval_multi needs reps >= 1000, got {reps}")
+    _check_reps(reps)
+    if not 0.0 < alpha < 1.0:
+        raise DomainError(f"alpha must be in (0,1), got {alpha}")
     eps = [ExtendedP.of(p) for p in ps]
-    sizes = _chunk_plan(reps, d)
-
-    def one(i: int, m: int) -> list[np.ndarray]:
-        z = rng.substream(i).generator().standard_normal((m, d))
-        return _stat_rows_multi(eps, z)
-
-    parts = _run_chunks(one, sizes, threads)
+    parts = _draw_chunks(lambda z: _stat_rows_multi(eps, z), rng, reps, d, threads)
     return {ep.value: _upper_quantile(np.concatenate([part[j] for part in parts]), alpha, rng)
             for j, ep in enumerate(eps)}
 
@@ -148,18 +135,10 @@ def empirical_size_multi(ps: Sequence, d: int, crit: dict, reps: int, rng: RngSt
     """Empirical sizes for several p at once, sharing the same normal draws
     (one pass over Z; the per-p estimates are then positively correlated but
     individually unbiased with the usual binomial CI)."""
-    if reps < 1000:
-        raise ConfigError(f"empirical_size_multi needs reps >= 1000, got {reps}")
+    _check_reps(reps)
     eps = [ExtendedP.of(p) for p in ps]
-    sizes = _chunk_plan(reps, d)
-
-    def one(i: int, m: int) -> np.ndarray:
-        z = rng.substream(i).generator().standard_normal((m, d))
-        stats = _stat_rows_multi(eps, z)
-        return np.array([np.count_nonzero(stats[j] > float(crit[ep.value]))
-                         for j, ep in enumerate(eps)], dtype=np.int64)
-
-    totals = np.sum(_run_chunks(one, sizes, threads), axis=0)
+    crits = [float(crit[ep.value]) for ep in eps]
+    totals = _exceedances(eps, crits, None, d, reps, rng, threads)
     return {ep.value: _proportion_result(int(totals[j]), reps, rng)
             for j, ep in enumerate(eps)}
 
@@ -194,18 +173,14 @@ def limit_law_ks(p, d: int, nrep: int, rng: RngStream, threads: int = 1) -> Limi
     The statistic is sum_j |Z_j|^p (log-sum for p = 0, min/max at the
     endpoints), centered and scaled as the regime's ``moments.limit_law`` says.
     """
-    if nrep < 100:
-        raise ConfigError(f"limit_law_ks needs nrep >= 100, got {nrep}")
+    _check_reps(nrep, 100, "nrep")
     pv = ExtendedP.of(p).value
     law = limit_law(pv, d)
-    sizes = _chunk_plan(nrep, d)
 
-    def sums(i: int, m: int) -> np.ndarray:
-        az = np.abs(rng.substream(i).generator().standard_normal((m, d)))
-        if pv == math.inf:
-            return az.max(axis=1)
-        if pv == -math.inf:
-            return az.min(axis=1)
+    def sums(z: np.ndarray) -> np.ndarray:
+        az = np.abs(z)
+        if not math.isfinite(pv):
+            return _abs_pmean_rows([pv], az)[0]
         with np.errstate(divide="ignore"):
             logs = np.log(az)
         if pv == 0.0:
@@ -213,7 +188,7 @@ def limit_law_ks(p, d: int, nrep: int, rng: RngStream, threads: int = 1) -> Limi
         mx, s = _log_power_sum(pv, logs)
         return np.exp(mx + np.log(s))
 
-    t = np.concatenate(_run_chunks(sums, sizes, threads))
+    t = np.concatenate(_draw_chunks(sums, rng, nrep, d, threads))
     stat = (t - d * law.center) / law.scale
     return LimitLawFit(pv, d, nrep, ks_distance(stat, law.cdf), law.name)
 
@@ -287,22 +262,19 @@ class DirectionGrowthReport:
 def random_direction_check(p: float, d_list: Iterable[int], reps: int,
                            rng: RngStream) -> DirectionGrowthReport:
     """For u uniform on the sqrt(d)-sphere, the fraction of draws with
-    <u>_p < d^{(p-2)/(4p)}; tends to 1 as d grows when p > 2."""
+    <u>_p < d^{(p-2)/(4p)}; tends to 1 as d grows when p > 2.  The k-th
+    dimension draws from rng.substream(k)."""
     if not p > 2.0 or not math.isfinite(p):
         raise DomainError(f"random_direction_check requires finite p > 2, got {p}")
     rows = []
     for k, d in enumerate(d_list):
-        gen = rng.substream(k).generator()
-        rowsz = max(1, min(reps, (1 << 22) // max(d, 1)))
-        below = 0
-        done = 0
         thr = d ** ((p - 2.0) / (4.0 * p))
-        while done < reps:
-            m = min(rowsz, reps - done)
-            z = gen.standard_normal((m, d))
+
+        def below(z: np.ndarray) -> int:
             norms = np.sqrt(np.sum(z * z, axis=1))
             u = math.sqrt(d) * z / norms[:, None]
-            below += int(np.count_nonzero(pmean_rows(p, u) < thr))
-            done += m
-        rows.append((int(d), below / reps, thr))
+            return int(np.count_nonzero(pmean_rows(p, u) < thr))
+
+        count = sum(_draw_chunks(below, rng.substream(k), reps, d, 1))
+        rows.append((int(d), count / reps, thr))
     return DirectionGrowthReport(p, tuple(rows))

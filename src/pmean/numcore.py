@@ -115,8 +115,8 @@ def find_root(g: Callable[[float], float], lo: float, hi: float, tol: float = 1e
 
 
 def expand_bracket(g: Callable[[float], float], start: float = 1.0,
-                   factor: float = 2.0, max_iter: int = 200) -> tuple[float, float]:
-    """Grow [0, t] geometrically from ``start`` until g changes sign; g(0) sets the
+                   max_iter: int = 200) -> tuple[float, float]:
+    """Double t from ``start`` until g changes sign on [0, t]; g(0) sets the
     reference sign, and g(0) = 0 returns [0, start] at once.  Raises
     BracketError if the budget of ``max_iter`` evaluations is exhausted."""
     g0 = g(0.0)
@@ -127,8 +127,8 @@ def expand_bracket(g: Callable[[float], float], start: float = 1.0,
         gt = g(t)
         if gt == 0.0 or (g0 < 0) != (gt < 0):
             return 0.0, t
-        t *= factor
-    raise BracketError(f"no sign change found while expanding up to t={t / factor}")
+        t *= 2.0
+    raise BracketError(f"no sign change found while expanding up to t={t / 2.0}")
 
 
 @dataclass(frozen=True)

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from pmean.cli import build_parser, parse_p, parse_vector, run
+from pmean.cli import SIMULATING, build_parser, parse_p, parse_vector, run
 from pmean.numcore import DomainError
 
 
@@ -77,6 +77,14 @@ class TestParsing:
         f = tmp_path / "vec.txt"
         f.write_text("1.0 2.0\n3.0\n")
         assert np.array_equal(parse_vector(str(f), 3), np.array([1.0, 2.0, 3.0]))
+
+    @pytest.mark.parametrize("spec", ["block:2", "block:a:1", "block:1:2:3", "equalized:x",
+                                      "spike:", "equalized"])
+    def test_malformed_generator_exit_2(self, spec, capsys):
+        assert run(["power", "--p", "2", "--d", "3", "--alpha", "0.05", "--shift", spec]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert repr(spec) in captured.err and "block:<k>:<s>" in captured.err
 
     def test_vector_dimension_mismatch(self):
         with pytest.raises(DomainError):
@@ -341,8 +349,15 @@ class TestContracts:
         ("0", "1", "0", "--step"),
         ("0", "1", "-0.1", "--step"),
         ("2", "1", "0.1", "--from"),
+        ("0", "8", "1e-9", "--step"),
+        ("-1e308", "1e308", "1", "--step"),
     ])
-    def test_bad_grid_exit_2(self, cmd, lo, hi, step, flag, capsys):
+    def test_bad_grid_exit_2(self, cmd, lo, hi, step, flag, capsys, monkeypatch):
+        # a bad grid is rejected before any grid is allocated
+        def no_arange(*args, **kwargs):
+            raise AssertionError("grid allocated")
+
+        monkeypatch.setattr(np, "arange", no_arange)
         assert run([cmd, "--from", lo, "--to", hi, "--step", step]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
@@ -363,6 +378,12 @@ class TestContracts:
         assert capsys.readouterr().out == ""
         # version has no --threads, so the variable does not concern it
         assert run(["version"]) == 0
+
+    @pytest.mark.parametrize("name", sorted(set(MINIMAL) - {"version"}))
+    def test_rng_flags_only_where_simulated(self, name, capsys):
+        # --seed, --stream and --threads exist only where random numbers are drawn
+        for flag in ("--seed", "--stream", "--threads"):
+            assert run(MINIMAL[name] + [flag, "1"]) == (0 if name in SIMULATING else 64)
 
     def test_dims_parsed_as_counts(self, capsys):
         base = ["are", "--p", "3", "--alpha", "0.05", "--beta", "0.8", "--useq", "spike"]

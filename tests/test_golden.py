@@ -31,7 +31,7 @@ REL_TOL = 1e-12
 
 
 def _cmd(*argv):
-    return list(argv) + ["--threads", "1"]
+    return list(argv) + (["--threads", "1"] if argv[0] in cli.SIMULATING else [])
 
 
 DETERMINISTIC = {

@@ -5,8 +5,8 @@ import pytest
 from scipy.special import ndtr
 
 from pmean.hypotest import critical_value, pmean_rows
-from pmean.mc import (_stat_rows_multi, empirical_critval, empirical_power,
-                      empirical_size_multi, ks_distance, limit_law_ks,
+from pmean.mc import (_stat_rows_multi, empirical_critval, empirical_critval_multi,
+                      empirical_power, empirical_size_multi, ks_distance, limit_law_ks,
                       majorizes_squares, random_direction_check, schur2_check)
 from pmean.moments import ExtendedP
 from pmean.numcore import ConfigError, DomainError, RngStream
@@ -73,6 +73,11 @@ class TestEmpiricalCritval:
         a = empirical_critval(1.0, 30, 0.1, 5000, RngStream(23, 0))
         b = empirical_critval(1.0, 30, 0.1, 5000, RngStream(23, 0))
         assert a.estimate == b.estimate
+
+    @pytest.mark.parametrize("alpha", [0.0, 1.0, 1.5, -0.1, math.nan])
+    def test_alpha_outside_unit_interval(self, alpha):
+        with pytest.raises(DomainError):
+            empirical_critval_multi([1.0, 2.0], 10, alpha, 1000, RngStream(24, 0))
 
 
 class TestKsDistance:
@@ -174,3 +179,51 @@ class TestSizeMulti:
         for p, rows in zip(ps, multi):
             assert np.array_equal(rows, pmean_rows(p, z)), p
         assert multi[1][0] == 0.0
+
+
+def _direction_fractions(p, d_list, reps, rng):
+    """random_direction_check's fractions, chunk by chunk: chunk i of the k-th
+    dimension d holds up to min(65536, 2^22 // d) rows drawn from
+    rng.substream(k).substream(i)."""
+    out = []
+    for k, d in enumerate(d_list):
+        per = min(65536, (1 << 22) // d)
+        thr = d ** ((p - 2.0) / (4.0 * p))
+        below = 0
+        for i, start in enumerate(range(0, reps, per)):
+            gen = rng.substream(k).substream(i).generator()
+            z = gen.standard_normal((min(per, reps - start), d))
+            u = math.sqrt(d) * z / np.sqrt(np.sum(z * z, axis=1))[:, None]
+            below += int(np.count_nonzero(pmean_rows(p, u) < thr))
+        out.append(below / reps)
+    return out
+
+
+# Each case gives two results that must agree bit for bit.  At d = 3 a chunk
+# holds 65536 rows, so 140_001 reps make two full chunks and a partial one.
+D, REPS = 3, 140_001
+SHIFT = np.array([0.3, -0.1, 0.2])
+PS = [-math.inf, -2.0, 0.0, 1.5, math.inf]
+
+
+@pytest.mark.parametrize("pair", [
+    ("power", lambda t: empirical_power(-0.7, D, SHIFT, 1.0, REPS, RngStream(81, 0), threads=t)),
+    ("critval", lambda t: empirical_critval(3.0, D, 0.05, REPS, RngStream(82, 0), threads=t)),
+    ("critval_multi", lambda t: empirical_critval_multi(PS, D, 0.05, REPS, RngStream(83, 0),
+                                                        threads=t)),
+    ("size_multi", lambda t: empirical_size_multi(PS, D, dict.fromkeys(PS, 1.0), REPS,
+                                                  RngStream(84, 0), threads=t)),
+    ("limit_law_ks", lambda t: limit_law_ks(math.inf, D, REPS, RngStream(85, 0), threads=t)),
+    ("schur2", lambda t: schur2_check(1.0, 2, 1.5, (math.sqrt(2), 0), (1, 1), REPS,
+                                      RngStream(86, 0), threads=t)),
+    ("critval is critval_multi", lambda t: (
+        empirical_critval(-2.0, D, 0.05, REPS, RngStream(87, 0), threads=t) if t == 1
+        else empirical_critval_multi([-2.0], D, 0.05, REPS, RngStream(87, 0), threads=t)[-2.0])),
+    # at d = 10 and 12 the fraction (about 0.84 at p = 4) moves with every draw
+    ("random_direction", lambda t: (
+        [row[1] for row in random_direction_check(4.0, [12, 10], REPS, RngStream(88, 0)).rows]
+        if t == 1 else _direction_fractions(4.0, [12, 10], REPS, RngStream(88, 0)))),
+], ids=lambda pair: pair[0])
+def test_thread_count_invariant(pair):
+    _, run = pair
+    assert run(1) == run(2)
