@@ -178,11 +178,12 @@ def limit_law_ks(p, d: int, nrep: int, rng: RngStream, threads: int = 1) -> Limi
     law = limit_law(pv, d)
 
     def sums(z: np.ndarray) -> np.ndarray:
-        az = np.abs(z)
+        # in place: the draws are not needed again
+        az = np.abs(z, out=z)
         if not math.isfinite(pv):
             return _abs_pmean_rows([pv], az)[0]
         with np.errstate(divide="ignore"):
-            logs = np.log(az)
+            logs = np.log(az, out=az)
         if pv == 0.0:
             return logs.sum(axis=1)
         mx, s = _log_power_sum(pv, logs)
