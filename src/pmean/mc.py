@@ -74,7 +74,7 @@ def _exceedances(eps: Sequence[ExtendedP], crits: Sequence[float], shift, d: int
                  rng: RngStream, threads: int) -> np.ndarray:
     """Per p, the number of draws with <Z + shift>_p > crit (shift None: zero)."""
 
-    def rows(z: np.ndarray) -> np.ndarray:
+    def rows(z: np.ndarray) -> list:
         if shift is not None:
             z += shift
         return [np.count_nonzero(t > c) for t, c in zip(_stat_rows_multi(eps, z), crits)]
