@@ -25,10 +25,11 @@ from functools import lru_cache
 from typing import Callable
 
 import numpy as np
-from scipy.special import gammaln, log_ndtr, ndtr, ndtri
+from scipy.special import erf, exp1, gammaln, hyp1f1, log_ndtr, ndtr, ndtri
 
-from .numcore import DomainError, gauss_expect
-from .stable import StableLaw, stable_cdf, stable_quantile
+from .numcore import (GAUSS_TAIL_RADIUS, SQRT_2PI, DomainError, by_blocks, gauss_expect,
+                      normal_pdf, tanh_sinh)
+from .stable import EULER_GAMMA, StableLaw, stable_cdf, stable_quantile
 
 SQRT_2_OVER_PI = math.sqrt(2.0 / math.pi)
 
@@ -113,13 +114,102 @@ def lambda_p_zero(p: float) -> float:
     return math.exp(0.5 * p * math.log(2.0) + gammaln(0.5 * (p + 1.0)) - 0.5 * math.log(math.pi))
 
 
+# E ln|Z| and Var ln|Z|
+LOG_MEAN_ZERO = -0.5 * (EULER_GAMMA + math.log(2.0))
+LOG_VAR_ZERO = math.pi ** 2 / 8.0
+
+# Beyond this |s|, lambda_p takes s^p (1 + p(p-1) / (2 s^2)), the asymptotic
+# series of 1F1 to double precision while s^p is finite; hyp1f1 loses -s^2/2
+# to overflow past s ~ 1.3e154
+_LAMBDA_ASYMPTOTIC = 1e8
+# the u = ln|y| rule of E ln|Z+s| starts here: Int_{-inf}^{U} |u| e^u phi(0) du < 1e-17
+_LOG_U_MIN = -42.0
+
+
+def _lambda_p_batch(p: float, s) -> np.ndarray:
+    """E|Z + s|^p elementwise, p > -1: 2^{p/2} Gamma((p+1)/2) / sqrt(pi)
+    1F1(-p/2; 1/2; -s^2/2) (Winkelbauer, arXiv:1209.4340)."""
+    s = np.abs(np.asarray(s, dtype=float))
+    out = np.empty(s.shape)
+    near = s <= _LAMBDA_ASYMPTOTIC
+    out[near] = lambda_p_zero(p) * hyp1f1(-0.5 * p, 0.5, -0.5 * np.square(s[near]))
+    far = s[~near]
+    with np.errstate(over="ignore"):
+        out[~near] = np.power(far, p) * (1.0 + 0.5 * p * (p - 1.0) / far / far)
+    return out
+
+
+def _gauss_rule(s: np.ndarray, near: Callable, far: Callable) -> np.ndarray:
+    """A Gaussian moment E g(Z + s) elementwise over s >= 0, BLOCK shifts at a
+    time: ``near(column)`` for s <= GAUSS_TAIL_RADIUS, where the rule runs in
+    u = ln|y| and resolves the singularity of g at y = 0, and ``far(column)``
+    beyond, where g is smooth over z in [-R, R]."""
+    flat = s.ravel()
+    out = np.empty(flat.shape)
+    inner = flat <= GAUSS_TAIL_RADIUS
+    out[inner] = by_blocks(lambda b: near(b[:, None]), flat[inner])
+    out[~inner] = by_blocks(lambda b: far(b[:, None]), flat[~inner])
+    return out.reshape(s.shape)
+
+
+def _u_rule(w: Callable, s, lo) -> np.ndarray:
+    """Sum_{+-} Int_lo^inf w(u) phi(+-e^u - s) du for columns s in [0, R]: the
+    + branch up to ln(s + R), split at u = ln s, where phi(e^u - s) peaks, so
+    that the peak falls on the ends of two rules; the - branch, falling in u,
+    up to ln R."""
+    hi = np.log(s + GAUSS_TAIL_RADIUS)
+    with np.errstate(divide="ignore"):
+        mid = np.clip(np.log(s), lo, hi)
+
+    def plus(u):
+        return w(u) * normal_pdf(np.exp(u) - s)
+
+    return (tanh_sinh(plus, lo, mid) + tanh_sinh(plus, mid, hi)
+            + tanh_sinh(lambda u: w(u) * normal_pdf(np.exp(u) + s), lo,
+                        np.full(s.shape, math.log(GAUSS_TAIL_RADIUS))))
+
+
+def _z_rule(g: Callable, s) -> np.ndarray:
+    """Int_{-R}^{R} g(z) phi(z) dz, for shifts s > R where g is smooth."""
+    R = np.full(s.shape, GAUSS_TAIL_RADIUS)
+    return tanh_sinh(lambda z: g(z) * normal_pdf(z), -R, R)
+
+
+def _mu_tilde_batch(d: int, s) -> np.ndarray:
+    """E(|Z+s|^{-1} /\\ d) elementwise: d P(|Z+s| < 1/d), as Int_{-1}^{1} phi(v/d - s) dv,
+    plus Sum_{+-} Int_{-ln d}^{inf} phi(+-e^u - s) du on the u = ln|y| rule."""
+    s = np.abs(np.asarray(s, dtype=float))
+
+    def near(c):
+        one = np.ones(c.shape)
+        return (tanh_sinh(lambda v: normal_pdf(v / d - c), -one, one)
+                + _u_rule(lambda u: 1.0, c, np.full(c.shape, -math.log(d))))
+
+    out = _gauss_rule(s, near, lambda c: _z_rule(lambda z: np.minimum(1.0 / (c + z), d), c))
+    # at s = 0: d erf(1 / (d sqrt 2)) + E_1(1 / (2 d^2)) / sqrt(2 pi)
+    out[s == 0.0] = d * erf(1.0 / (d * math.sqrt(2.0))) + exp1(0.5 / d / d) / SQRT_2PI
+    return out
+
+
+def _log_mean_batch(s) -> np.ndarray:
+    """E ln|Z+s| elementwise: Sum_{+-} Int u e^u phi(+-e^u - s) du on the u = ln|y|
+    rule, and ln s + E ln(1 + Z/s) beyond GAUSS_TAIL_RADIUS."""
+    s = np.abs(np.asarray(s, dtype=float))
+
+    out = _gauss_rule(
+        s, lambda c: _u_rule(lambda u: u * np.exp(u), c, np.full(c.shape, _LOG_U_MIN)),
+        lambda c: np.log(c[:, 0]) + _z_rule(lambda z: np.log1p(z / c), c))
+    out[s == 0.0] = LOG_MEAN_ZERO
+    return out
+
+
 @lru_cache(maxsize=200_000)
 def _lambda_p_cached(p: float, s: float) -> float:
-    return gauss_expect(lambda y: abs(y) ** p, s, points=(0.0,))
+    return float(_lambda_p_batch(p, s))
 
 
 def lambda_p(p: float, s: float) -> float:
-    """E|Z + s|^p by singularity-split quadrature; requires p > -1."""
+    """E|Z + s|^p in closed form through 1F1; requires p > -1."""
     if p <= -1.0:
         raise DomainError(f"lambda_p requires p > -1 (moment infinite), got p={p}")
     return _lambda_p_cached(float(p), float(abs(s)))
@@ -144,7 +234,7 @@ def lambda_pm(p: float, m: float, s: float) -> float:
 
 @lru_cache(maxsize=100_000)
 def _log_mean_cached(s: float) -> float:
-    return gauss_expect(lambda y: math.log(abs(y)) if y != 0.0 else -math.inf, s, points=(0.0,))
+    return float(_log_mean_batch(s))
 
 
 def log_moment(m: int, s: float) -> float:
@@ -165,9 +255,7 @@ def log_moment(m: int, s: float) -> float:
 
 @lru_cache(maxsize=100_000)
 def _mu_tilde_cached(d: int, s: float) -> float:
-    inv = 1.0 / d
-    return gauss_expect(lambda y: min(1.0 / abs(y), float(d)) if y != 0.0 else float(d), s,
-                        points=(-inv, 0.0, inv))
+    return float(_mu_tilde_batch(d, s))
 
 
 def mu_tilde(d: int, s: float) -> float:
@@ -271,7 +359,7 @@ _LAWS = {
     Regime.NEG_HALF: _neg_half_law,
     Regime.NEG_HALF_TO_ZERO: _clt_law,
     Regime.ZERO: lambda p, d: _normal_law(
-        "normal (log-mean CLT)", log_moment(1, 0.0), math.sqrt(d * log_moment(2, 0.0))),
+        "normal (log-mean CLT)", LOG_MEAN_ZERO, math.sqrt(d * LOG_VAR_ZERO)),
     Regime.ZERO_TO_INF: _clt_law,
     Regime.POS_INF: lambda p, d: LimitLaw(
         "exact extreme-value (max)",
@@ -376,18 +464,19 @@ def _row_below_neg_one(p, d, alpha, law):
 
 
 def _bounded(p, d, alpha, law, kappa, moment, sigma):
-    """Rows p in [-1, 0): f = m(0) - m(s) for the row's shift moment m,
+    """Rows p in [-1, 0): f = m(0) - m(s) for the row's batched shift moment m,
     rising from 0 to its bound m(0) = law.center; sigma = law.scale / kappa(d)."""
     top = law.center
-    return dict(f=np.vectorize(lambda v: top - moment(v), otypes=[float]), kappa=kappa,
+    return dict(f=lambda s: top - moment(s), kappa=kappa,
                 critical=_sum_critical(p, d, alpha, law), f_at_inf=top,
                 **_additive(law, sigma, alpha))
 
 
 def _unbounded(p, d, alpha, law, moment):
-    """Rows p in [0, inf): f = m(s) - m(0), unbounded, with the CLT rate sqrt(d)."""
+    """Rows p in [0, inf): f = m(s) - m(0) for the row's batched shift moment m,
+    unbounded, with the CLT rate sqrt(d)."""
     base = law.center
-    f = np.square if p == 2.0 else np.vectorize(lambda v: moment(v) - base, otypes=[float])
+    f = np.square if p == 2.0 else lambda s: moment(s) - base
     return dict(f=f, kappa=math.sqrt, critical=_sum_critical(p, d, alpha, law),
                 **_additive(law, law.scale / math.sqrt(d), alpha))
 
@@ -409,16 +498,17 @@ _ROWS = {
     Regime.NEG_INF: _row_neg_inf,
     Regime.BELOW_NEG_ONE: _row_below_neg_one,
     Regime.NEG_ONE: lambda p, d, a, law: _bounded(
-        p, d, a, law, float, lambda v: mu_tilde(d, v), 1.0),
+        p, d, a, law, float, lambda s: _mu_tilde_batch(d, s), 1.0),
     Regime.NEG_ONE_TO_NEG_HALF: lambda p, d, a, law: _bounded(
-        p, d, a, law, lambda dd: float(dd) ** abs(p), lambda v: lambda_p(p, v), 1.0),
+        p, d, a, law, lambda dd: float(dd) ** abs(p), lambda s: _lambda_p_batch(p, s), 1.0),
     Regime.NEG_HALF: lambda p, d, a, law: _bounded(
-        p, d, a, law, lambda dd: math.sqrt(dd * math.log(dd)), lambda v: lambda_p(p, v),
-        _NEG_HALF_SIGMA),
+        p, d, a, law, lambda dd: math.sqrt(dd * math.log(dd)),
+        lambda s: _lambda_p_batch(p, s), _NEG_HALF_SIGMA),
     Regime.NEG_HALF_TO_ZERO: lambda p, d, a, law: _bounded(
-        p, d, a, law, math.sqrt, lambda v: lambda_p(p, v), law.scale / math.sqrt(d)),
-    Regime.ZERO: lambda p, d, a, law: _unbounded(p, d, a, law, lambda v: log_moment(1, v)),
-    Regime.ZERO_TO_INF: lambda p, d, a, law: _unbounded(p, d, a, law, lambda v: lambda_p(p, v)),
+        p, d, a, law, math.sqrt, lambda s: _lambda_p_batch(p, s), law.scale / math.sqrt(d)),
+    Regime.ZERO: lambda p, d, a, law: _unbounded(p, d, a, law, _log_mean_batch),
+    Regime.ZERO_TO_INF: lambda p, d, a, law: _unbounded(
+        p, d, a, law, lambda s: _lambda_p_batch(p, s)),
     Regime.POS_INF: _row_pos_inf,
 }
 

@@ -35,7 +35,8 @@ from functools import lru_cache
 import numpy as np
 from scipy.special import gamma as _gamma_fn
 
-from .numcore import DomainError, RngStream, find_root
+from .numcore import (TS_FL, TS_FR, TS_WEIGHTS, DomainError, RngStream, by_blocks, find_root,
+                      tanh_sinh_fractions)
 
 EULER_GAMMA = 0.5772156649015329
 CPLUS = math.sqrt(2.0 / math.pi)   # total Levy mass multiplier sqrt(2/pi)
@@ -120,20 +121,6 @@ def cf_exponent(law: StableLaw, u):
 # Zolotarev's integral
 # ---------------------------------------------------------------------------
 
-def _fractions(s):
-    """Where the tanh-sinh variable s puts theta: its fractions of the interval
-    from the left and from the right end, each accurate near its own end."""
-    e = np.pi * np.sinh(s)
-    return 1.0 / (1.0 + np.exp(-e)), 1.0 / (1.0 + np.exp(e))
-
-
-# the tanh-sinh rule on an interval of unit length, step 1/40 over s in [-3.5, 3.5];
-# the part of the interval beyond the last nodes is within 3e-23 of its ends
-_STEP = 1.0 / 40.0
-_NODES = _STEP * np.arange(-140, 141)
-_FL, _FR = _fractions(_NODES)
-_WEIGHTS = math.pi * _STEP * np.cosh(_NODES) * _FL * _FR
-_BLOCK = 256          # x values per vectorized block
 _CHORD_STEPS = 2      # refinements of theta* after the table lookup
 
 
@@ -180,7 +167,7 @@ class _Zolotarev:
     def _rising(self, s):
         """asinh(+-ln V) at the tanh-sinh variable s: increasing, and close to
         linear in s near both ends, where ln V grows like e^|s|."""
-        fl, fr = _fractions(s)
+        fl, fr = tanh_sinh_fractions(s)
         return np.arcsinh(self.sign * self.log_v(self.length * fl, self.length * fr))
 
     def _split(self, c):
@@ -193,22 +180,22 @@ class _Zolotarev:
         s = np.clip(lo + (target - self.table[j - 1]) / slope, lo, hi)
         for _ in range(_CHORD_STEPS):
             s = np.clip(s - (self._rising(s) - target) / slope, lo, hi)
-        return _fractions(s)
+        return tanh_sinh_fractions(s)
+
+    def _block(self, c: np.ndarray) -> np.ndarray:
+        cb = c[:, None]
+        fl, fr = self._split(cb)
+        left, right = self.length * fl, self.length * fr
+        dl = np.concatenate([left * TS_FL, left + right * TS_FL], axis=1)
+        dr = np.concatenate([right + left * TS_FR, right * TS_FR], axis=1)
+        with np.errstate(over="ignore"):
+            g = np.exp(-np.exp(cb + self.log_v(dl, dr)))
+        m = TS_WEIGHTS.size
+        return (left[:, 0] * (g[:, :m] @ TS_WEIGHTS)
+                + right[:, 0] * (g[:, m:] @ TS_WEIGHTS)) / math.pi
 
     def integral(self, c: np.ndarray) -> np.ndarray:
-        out = np.empty(c.shape)
-        for i in range(0, c.size, _BLOCK):
-            cb = c[i:i + _BLOCK, None]
-            fl, fr = self._split(cb)
-            left, right = self.length * fl, self.length * fr
-            dl = np.concatenate([left * _FL, left + right * _FL], axis=1)
-            dr = np.concatenate([right + left * _FR, right * _FR], axis=1)
-            with np.errstate(over="ignore"):
-                g = np.exp(-np.exp(cb + self.log_v(dl, dr)))
-            m = _NODES.size
-            out[i:i + _BLOCK] = (left[:, 0] * (g[:, :m] @ _WEIGHTS)
-                                 + right[:, 0] * (g[:, m:] @ _WEIGHTS)) / math.pi
-        return out
+        return by_blocks(self._block, c)
 
 
 _zolotarev = lru_cache(maxsize=256)(_Zolotarev)

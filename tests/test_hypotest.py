@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pmean.hypotest import (CriticalValue, InfeasibleError, ShiftVector, TestPlan,
                             as_shift_residual, as_shift_scale, critical_value, decide,
@@ -297,3 +299,38 @@ class TestTypes:
     def test_critical_value_float(self):
         cv = CriticalValue(1.5, "asymptotic")
         assert float(cv) == 1.5
+
+
+# one exponent from each of the nine regimes, and both sides of p = 2
+REGIME_P = st.sampled_from((-math.inf, -2.0, -1.0, -0.7, -0.5, -0.3, 0.0, 1.0, 2.0, 3.0,
+                            math.inf))
+LEVELS = st.lists(st.floats(0.05, 3.0), min_size=1, max_size=8)
+
+
+class TestProperties:
+    @settings(max_examples=40, deadline=None)
+    @given(REGIME_P, st.integers(2, 5000), st.floats(0.01, 0.2))
+    def test_power_is_alpha_at_zero_shift(self, p, d, alpha):
+        assert abs(power_asymptotic(p, d, alpha, np.zeros(d)) - alpha) <= 1e-9
+
+    @settings(max_examples=40, deadline=None)
+    @given(REGIME_P, st.integers(2, 300), st.floats(0.01, 0.2), LEVELS,
+           st.floats(0.0, 4.0), st.floats(0.0, 4.0))
+    def test_power_monotone_in_shift_scale(self, p, d, alpha, levels, t1, t2):
+        theta = np.resize(np.array(levels), d)
+        lo, hi = sorted((t1, t2))
+        assert (power_asymptotic(p, d, alpha, lo * theta)
+                <= power_asymptotic(p, d, alpha, hi * theta) + 1e-12)
+
+    @settings(max_examples=40, deadline=None)
+    @given(REGIME_P, st.integers(2, 300), LEVELS, st.floats(0.06, 0.99), st.floats(0.06, 0.99))
+    def test_sample_size_monotone_in_beta(self, p, d, levels, b1, b2):
+        # an infeasible beta counts as an infinite sample size
+        theta = 0.05 * np.resize(np.array(levels), d)
+        n = []
+        for beta in sorted((b1, b2)):
+            try:
+                n.append(sample_size(TestPlan(p, d, 0.05, beta, theta)))
+            except InfeasibleError:
+                n.append(math.inf)
+        assert n[0] <= n[1]

@@ -2,13 +2,15 @@ import dataclasses
 import math
 import warnings
 
+import mpmath
 import numpy as np
 import pytest
 from scipy.special import ndtr
 
-from pmean.moments import (ExtendedP, Regime, b_p, c_crit_inf, lambda_inf, lambda_p,
-                           lambda_p_zero, lambda_pm, limit_law, log_moment, mu_tilde,
-                           regime_row)
+from pmean.moments import (LOG_MEAN_ZERO, LOG_VAR_ZERO, ExtendedP, Regime, _lambda_p_batch,
+                           _log_mean_batch, _mu_tilde_batch, b_p, c_crit_inf, lambda_inf,
+                           lambda_p, lambda_p_zero, lambda_pm, limit_law, log_moment,
+                           mu_tilde, regime_row)
 from pmean.numcore import DomainError, gauss_expect
 
 SQRT_2_OVER_PI = math.sqrt(2 / math.pi)
@@ -83,14 +85,21 @@ class TestLambdaPM:
 
     def test_variance_identity_against_direct_integral(self):
         # the m=2 identity lambda_{p,2} = lambda_{2p} - lambda_p^2 checked
-        # against direct quadrature of E||Z+s|^p - lambda_p(s)|^2
+        # against a 30-digit integral of E||Z+s|^p - lambda_p(s)|^2
         rng = np.random.default_rng(7)
         for _ in range(10):
             p = rng.uniform(-0.45, 2.5)
             s = rng.uniform(-2.0, 2.0)
             c = lambda_p(p, s)
-            pts = (0.0, -c ** (1 / p) if p != 0 else 0.0, c ** (1 / p) if p != 0 else 0.0)
-            direct = gauss_expect(lambda y, p=p, c=c: (abs(y) ** p - c) ** 2, s, points=pts)
+            with mpmath.workdps(30):
+                pm, sm = mpmath.mpf(p), mpmath.mpf(s)
+                # y = +-t^k, with k = 1/(2p+1) for p < 0, takes the |y|^{2p}
+                # singularity out of the integrand
+                k = 1 / (2 * pm + 1) if p < 0 else mpmath.mpf(1)
+                direct = float(sum(mpmath.quad(
+                    lambda t: (t ** (k * pm) - c) ** 2 * mpmath.npdf(sg * t ** k - sm)
+                    * k * t ** (k - 1), [0, abs(sm) ** (1 / k), 14 ** (1 / k)])
+                    for sg in (1, -1)))
             assert abs(lambda_pm(p, 2, s) - direct) < 1e-7
             assert abs(lambda_pm(p, 2, s) - (lambda_p(2 * p, s) - c ** 2)) < 1e-9
 
@@ -140,6 +149,135 @@ class TestMuTilde:
     def test_domain(self):
         with pytest.raises(DomainError):
             mu_tilde(0, 0.0)
+
+
+# The batched kernels against 30-digit mpmath oracles: E|Z+s|^p from 1F1,
+# E ln|Z+s| from its Poisson series, mu_tilde by direct integration, each
+# with its asymptotic series in 1/s where s is large.
+ORACLE_P = (-0.9, -0.7, -0.5, -0.3, 0.5, 1.0, 3.0)
+ORACLE_D = (1, 100, 10**4, 10**6)
+ORACLE_S = (0.0, 1e-10, 1e-4, 0.05, 0.3, 0.9, 1.5, 2.0, 4.5, 8.99, 9.0, 9.01, 12.0, 40.0,
+            1e3, 1e6, 1e9, 1e20, 1e100, 1e300)
+# the spike's coordinate sqrt(d) t at the planning scales t
+SPIKE_T = (0.02, 1.0, 3.0)
+
+
+def _grid(d):
+    return np.array(sorted(set(ORACLE_S) | {math.sqrt(d) * t for t in SPIKE_T}))
+
+
+def _mp_lambda(p, s):
+    p, s = mpmath.mpf(p), mpmath.mpf(s)
+    return (2 ** (p / 2) * mpmath.gamma((p + 1) / 2) / mpmath.sqrt(mpmath.pi)
+            * mpmath.hyp1f1(-p / 2, 0.5, -s * s / 2))
+
+
+def _mp_log_mean(s):
+    s = mpmath.mpf(s)
+    if s > 20:
+        return mpmath.log(s) - sum(mpmath.fac2(2 * k - 1) / (2 * k * s ** (2 * k))
+                                   for k in range(1, 30))
+    # ln (Z+s)^2 is ln 2 + ln of a chi^2_{1+2J} variate with J ~ Poisson(s^2/2)
+    lam = s * s / 2
+    n = int(lam + 12 * mpmath.sqrt(lam) + 40)
+    return (mpmath.log(2) + sum(mpmath.exp(-lam + j * mpmath.log(lam) - mpmath.loggamma(j + 1))
+                                * mpmath.digamma(j + 0.5) if lam else mpmath.digamma(0.5) * (j == 0)
+                                for j in range(n))) / 2
+
+
+def _mp_mu_tilde(d, s):
+    s, c = mpmath.mpf(s), mpmath.mpf(1) / d
+    if s > 20:
+        return sum(mpmath.fac2(2 * k - 1) / s ** (2 * k + 1) for k in range(30))
+    inside = d * (mpmath.ncdf(c - s) - mpmath.ncdf(-c - s))
+    cuts = sorted({c} | {x for x in (s - 5, s, s + 5, s + 10, s + 20, s + 40) if x > c})
+    return inside + mpmath.quad(lambda y: (mpmath.npdf(y - s) + mpmath.npdf(y + s)) / y,
+                                cuts + [mpmath.inf])
+
+
+def _assert_oracle(got, want):
+    assert not np.any(np.isnan(got))
+    for g, w in zip(got, want):
+        if math.isinf(w):
+            assert g == w
+        else:
+            assert abs(g - w) <= 1e-12 * abs(w), (g, w)
+
+
+class TestBatchedKernels:
+    @pytest.mark.parametrize("p", ORACLE_P)
+    def test_lambda_p_oracle(self, p):
+        s = np.array(sorted(set().union(*(_grid(d) for d in ORACLE_D))))
+        with mpmath.workdps(30):
+            want = [float(_mp_lambda(p, v)) for v in s]
+        _assert_oracle(_lambda_p_batch(p, s), want)
+
+    @pytest.mark.parametrize("d", ORACLE_D)
+    def test_mu_tilde_oracle(self, d):
+        s = _grid(d)
+        with mpmath.workdps(30):
+            want = [float(_mp_mu_tilde(d, v)) for v in s]
+        _assert_oracle(_mu_tilde_batch(d, s), want)
+
+    def test_log_mean_oracle(self):
+        s = np.array(sorted(set().union(*(_grid(d) for d in ORACLE_D))))
+        with mpmath.workdps(30):
+            want = [float(_mp_log_mean(v)) for v in s]
+        _assert_oracle(_log_mean_batch(s), want)
+
+    def test_no_nan_to_the_largest_double(self):
+        s = np.array([1e154, 1.35e154, 1e200, 1e308, np.finfo(float).max])
+        for p in ORACLE_P + (7.0, 40.0):
+            v = _lambda_p_batch(p, s)
+            assert np.all((v > 0) & ~np.isnan(v))
+            assert np.all(np.isfinite(v)) if p < 0 else np.all(v[1:] >= v[:-1])
+        assert np.all(np.isfinite(_log_mean_batch(s)))
+        assert np.all((_mu_tilde_batch(10**6, s) >= 0) & np.isfinite(_mu_tilde_batch(10**6, s)))
+
+    def test_closed_forms_at_zero(self):
+        from scipy.special import erf, exp1
+        for d in (1, 2, 7, 100, 10**4, 10**6):
+            want = d * erf(1 / (d * math.sqrt(2))) + exp1(0.5 / d / d) / math.sqrt(2 * math.pi)
+            assert mu_tilde(d, 0.0) == want
+            assert limit_law(-1.0, d).center == want
+        assert log_moment(1, 0.0) == LOG_MEAN_ZERO == -(EULER + math.log(2)) / 2
+        law = limit_law(0.0, 100)
+        assert law.center == LOG_MEAN_ZERO
+        assert law.scale == math.sqrt(100 * LOG_VAR_ZERO) and LOG_VAR_ZERO == math.pi ** 2 / 8
+
+    def test_shape_and_sign(self):
+        s = np.array([[0.5, -0.5], [-3.0, 20.0]])
+        for kernel in (lambda v: _lambda_p_batch(0.5, v), lambda v: _mu_tilde_batch(50, v),
+                       _log_mean_batch):
+            out = kernel(s)
+            assert out.shape == s.shape
+            assert np.array_equal(out, kernel(np.abs(s)))
+            assert np.ndim(kernel(1.5)) == 0
+
+    def test_agrees_with_adaptive_quadrature(self):
+        # gauss_expect integrates the defining integrands on another method
+        for s in (0.0, 0.4, 2.5, 8.0):
+            assert abs(float(_lambda_p_batch(-0.6, s))
+                       - gauss_expect(lambda y: abs(y) ** -0.6, s, points=(0.0,))) < 1e-9
+            assert abs(float(_mu_tilde_batch(30, s)) - gauss_expect(
+                lambda y: min(1.0 / abs(y), 30.0) if y else 30.0, s,
+                points=(-1 / 30, 0.0, 1 / 30))) < 1e-9
+            assert abs(float(_log_mean_batch(s)) - gauss_expect(
+                lambda y: math.log(abs(y)) if y else -math.inf, s, points=(0.0,))) < 1e-9
+
+    def test_blocks_bound_memory(self):
+        # 20000 distinct shifts: one rule over all of them at once would hold
+        # arrays of 20000 x 281 doubles (45 MB each)
+        import tracemalloc
+        s = np.linspace(0.0, 12.0, 20_000)
+        tracemalloc.start()
+        try:
+            _mu_tilde_batch(10**6, s)
+            _log_mean_batch(s)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16e6
 
 
 class TestCritInf:
