@@ -89,6 +89,20 @@ def parse_dims(text: str) -> str:
     return text
 
 
+VECTOR_FORMS = ("comma-separated numbers, equalized:<t>, spike:<t>, block:<k>:<s> "
+                "or a file of numbers")
+SEQUENCE_FORMS = "equalized, spike or block:<gamma>"
+
+
+def _floats(spec: str, texts, forms: str) -> np.ndarray:
+    """The numbers ``texts`` of the flag value ``spec``; a DomainError that
+    quotes spec and the forms it may take if one is not a number."""
+    try:
+        return np.array([float(x) for x in texts], dtype=float)
+    except ValueError:
+        raise DomainError(f"malformed {spec!r}: expected {forms}") from None
+
+
 def parse_vector(spec: str, d: int) -> np.ndarray:
     """Vector inputs: comma literals, ``equalized:<t>``, ``spike:<t>``,
     ``block:<k>:<s>``, or a readable file of whitespace-separated numbers."""
@@ -100,19 +114,18 @@ def parse_vector(spec: str, d: int) -> np.ndarray:
             k, t = rest.split(":") if kind == "block" else (d if kind == "equalized" else 1, rest)
             k, t = int(k), float(t)
         except ValueError:
-            raise DomainError(f"malformed vector {spec!r}: expected equalized:<t>, "
-                              f"spike:<t> or block:<k>:<s>") from None
+            raise DomainError(f"malformed {spec!r}: expected {VECTOR_FORMS}") from None
         if not 1 <= k <= d:
             raise DomainError(f"block size {k} outside [1, d={d}]")
         v = np.zeros(d)
         v[:k] = t * math.sqrt(d) if kind == "spike" else t
     elif "," in s:
-        v = np.array([float(x) for x in s.split(",")], dtype=float)
+        v = _floats(spec, s.split(","), VECTOR_FORMS)
     elif os.path.exists(s):
         with open(s) as fh:
-            v = np.array([float(x) for x in fh.read().split()], dtype=float)
+            v = _floats(spec, fh.read().split(), VECTOR_FORMS)
     else:
-        v = np.array([float(s)], dtype=float)
+        v = _floats(spec, [s], VECTOR_FORMS)
     if v.size != d:
         raise DomainError(f"vector has {v.size} entries, expected d={d}")
     if not np.all(np.isfinite(v)):
@@ -268,9 +281,10 @@ def _are(args):
     elif args.useq == "spike":
         seq = spike_sequence()
     elif args.useq.startswith("block:"):
-        seq = block_sequence(float(args.useq.split(":", 1)[1]))
+        seq = block_sequence(float(_floats(args.useq, [args.useq[len("block:"):]],
+                                           SEQUENCE_FORMS)[0]))
     else:
-        raise DomainError(f"unknown direction sequence {args.useq!r}")
+        raise DomainError(f"unknown direction sequence {args.useq!r}: expected {SEQUENCE_FORMS}")
     seq = type(seq)(seq.generator, tuple(parse_count(x) for x in args.dims.split(",")))
     v = classify_are(parse_p(args.p), seq, args.alpha, args.beta)
     return {"tag": v.tag, "value": v.value}, {"rationale": v.rationale}

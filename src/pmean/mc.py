@@ -264,9 +264,11 @@ def random_direction_check(p: float, d_list: Iterable[int], reps: int,
                            rng: RngStream) -> DirectionGrowthReport:
     """For u uniform on the sqrt(d)-sphere, the fraction of draws with
     <u>_p < d^{(p-2)/(4p)}; tends to 1 as d grows when p > 2.  The k-th
-    dimension draws from rng.substream(k)."""
+    dimension draws from rng.substream(k).  The fraction is a diagnostic, so
+    reps has limit_law_ks's floor of 100."""
     if not p > 2.0 or not math.isfinite(p):
         raise DomainError(f"random_direction_check requires finite p > 2, got {p}")
+    _check_reps(reps, 100)
     rows = []
     for k, d in enumerate(d_list):
         thr = d ** ((p - 2.0) / (4.0 * p))

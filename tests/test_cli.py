@@ -86,6 +86,24 @@ class TestParsing:
         assert captured.out == ""
         assert repr(spec) in captured.err and "block:<k>:<s>" in captured.err
 
+    @pytest.mark.parametrize("flag,spec", [
+        ("--shift", "1,a,2"), ("--shift", "abc"), ("--shift", "1,,2"), ("--shift", "file"),
+        ("--useq", "block:abc"), ("--useq", "block:"), ("--useq", "blocks")])
+    def test_malformed_number_exit_2(self, flag, spec, capsys, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "file").write_text("1.0 x 2.0\n")
+        if flag == "--shift":
+            argv = ["power", "--p", "2", "--d", "3", "--alpha", "0.05", "--shift", spec]
+            form = "block:<k>:<s>"
+        else:
+            argv = ["are", "--p", "2", "--alpha", "0.05", "--beta", "0.8", "--useq", spec]
+            form = "block:<gamma>"
+        assert run(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert repr(spec) in captured.err and form in captured.err
+        assert "could not convert" not in captured.err
+
     def test_vector_dimension_mismatch(self):
         with pytest.raises(DomainError):
             parse_vector("1,2", 3)

@@ -160,6 +160,11 @@ class TestRandomDirection:
         with pytest.raises(DomainError):
             random_direction_check(1.5, [100], 100, RngStream(0, 0))
 
+    @pytest.mark.parametrize("reps", [0, 99, -5])
+    def test_reps_floor(self, reps):
+        with pytest.raises(ConfigError, match="reps >= 100"):
+            random_direction_check(3.0, [10], reps, RngStream(1))
+
 
 class TestSizeMulti:
     def test_matches_single(self):
