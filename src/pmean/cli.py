@@ -89,9 +89,9 @@ def parse_dims(text: str) -> str:
     return text
 
 
-VECTOR_FORMS = ("comma-separated numbers, equalized:<t>, spike:<t>, block:<k>:<s> "
+_VECTOR_FORMS = ("comma-separated numbers, equalized:<t>, spike:<t>, block:<k>:<s> "
                 "or a file of numbers")
-SEQUENCE_FORMS = "equalized, spike or block:<gamma>"
+_SEQUENCE_FORMS = "equalized, spike or block:<gamma>"
 
 
 def _floats(spec: str, texts, forms: str) -> np.ndarray:
@@ -114,18 +114,18 @@ def parse_vector(spec: str, d: int) -> np.ndarray:
             k, t = rest.split(":") if kind == "block" else (d if kind == "equalized" else 1, rest)
             k, t = int(k), float(t)
         except ValueError:
-            raise DomainError(f"malformed {spec!r}: expected {VECTOR_FORMS}") from None
+            raise DomainError(f"malformed {spec!r}: expected {_VECTOR_FORMS}") from None
         if not 1 <= k <= d:
             raise DomainError(f"block size {k} outside [1, d={d}]")
         v = np.zeros(d)
         v[:k] = t * math.sqrt(d) if kind == "spike" else t
     elif "," in s:
-        v = _floats(spec, s.split(","), VECTOR_FORMS)
+        v = _floats(spec, s.split(","), _VECTOR_FORMS)
     elif os.path.exists(s):
         with open(s) as fh:
-            v = _floats(spec, fh.read().split(), VECTOR_FORMS)
+            v = _floats(spec, fh.read().split(), _VECTOR_FORMS)
     else:
-        v = _floats(spec, [s], VECTOR_FORMS)
+        v = _floats(spec, [s], _VECTOR_FORMS)
     if v.size != d:
         raise DomainError(f"vector has {v.size} entries, expected d={d}")
     if not np.all(np.isfinite(v)):
@@ -281,10 +281,10 @@ def _are(args):
     elif args.useq == "spike":
         seq = spike_sequence()
     elif args.useq.startswith("block:"):
-        seq = block_sequence(float(_floats(args.useq, [args.useq[len("block:"):]],
-                                           SEQUENCE_FORMS)[0]))
+        (gamma,) = _floats(args.useq, [args.useq[len("block:"):]], _SEQUENCE_FORMS)
+        seq = block_sequence(float(gamma))
     else:
-        raise DomainError(f"unknown direction sequence {args.useq!r}: expected {SEQUENCE_FORMS}")
+        raise DomainError(f"unknown direction sequence {args.useq!r}: expected {_SEQUENCE_FORMS}")
     seq = type(seq)(seq.generator, tuple(parse_count(x) for x in args.dims.split(",")))
     v = classify_are(parse_p(args.p), seq, args.alpha, args.beta)
     return {"tag": v.tag, "value": v.value}, {"rationale": v.rationale}
