@@ -179,10 +179,11 @@ def _mp_log_mean(s):
                                    for k in range(1, 30))
     # ln (Z+s)^2 is ln 2 + ln of a chi^2_{1+2J} variate with J ~ Poisson(s^2/2)
     lam = s * s / 2
-    n = int(lam + 12 * mpmath.sqrt(lam) + 40)
-    return (mpmath.log(2) + sum(mpmath.exp(-lam + j * mpmath.log(lam) - mpmath.loggamma(j + 1))
-                                * mpmath.digamma(j + 0.5) if lam else mpmath.digamma(0.5) * (j == 0)
-                                for j in range(n))) / 2
+    weight, total = mpmath.exp(-lam), mpmath.log(2)
+    for j in range(int(lam + 12 * mpmath.sqrt(lam) + 40)):
+        total += weight * mpmath.digamma(j + 0.5)
+        weight *= lam / (j + 1)
+    return total / 2
 
 
 def _mp_mu_tilde(d, s):
