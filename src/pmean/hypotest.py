@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional, Union
 
 import numpy as np
@@ -45,7 +46,7 @@ def pmean(p, s) -> float:
 
 
 def pmean_rows(p, x: np.ndarray) -> np.ndarray:
-    """Row-wise p-means of a 2-D array, in log space for overflow safety."""
+    """Row-wise p-means of a 2-D array (see ``_abs_pmean_rows``)."""
     pv = float(ExtendedP.of(p).value)
     x = np.abs(np.asarray(x, dtype=float))
     if x.ndim != 2 or x.shape[1] == 0:
@@ -55,46 +56,86 @@ def pmean_rows(p, x: np.ndarray) -> np.ndarray:
 
 def _abs_pmean_rows(pvs, az: np.ndarray) -> list:
     """Row-wise p-means of the nonnegative 2-D array az, one array per
-    extended p value in pvs.  ln az is taken once, and only when some p is
-    finite: the max and min rows at p = +-inf need no logarithm."""
-    if any(math.isfinite(pv) for pv in pvs):
-        with np.errstate(divide="ignore"):
-            logs = np.log(az)
+    extended p value in pvs: (sum_j az_j^p / d)^(1/p) from ``_power_sums``
+    for finite p != 0, e^(mean ln az) at p = 0, and the row max and min at
+    p = +-inf.  Rows that ``_power_sums`` sums in log space take their
+    p-mean in log space as well."""
+    d = az.shape[1]
+    buf = np.empty_like(az)   # untouched, so free, when every p is infinite
     out = []
     for pv in pvs:
         if pv == math.inf:
             out.append(az.max(axis=1))
         elif pv == -math.inf:
             out.append(az.min(axis=1))
+        elif pv == 0.0:
+            with np.errstate(divide="ignore"):
+                out.append(np.exp(np.mean(np.log(az, out=buf), axis=1)))
         else:
-            out.append(_pmean_from_logs(pv, logs))
+            out.append(_root_mean(pv, d, *_power_sums(pv, az, buf)))
     return out
 
 
-def _log_power_sum(pv: float, logs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(m, s) with sum_j |x_j|^p = e^m s per row, from logs = ln|x| and
-    finite p != 0, by log-sum-exp; m is infinite on rows whose sum is 0 or
-    infinite, and s is then NaN."""
-    a = pv * logs
-    m = a.max(axis=1)
-    with np.errstate(invalid="ignore"):
-        s = np.sum(np.exp(a - m[:, None]), axis=1)
-    return m, s
-
-
-def _pmean_from_logs(pv: float, logs: np.ndarray) -> np.ndarray:
-    """Row-wise p-means for finite p from logs = ln|x|."""
-    if pv == 0.0:
-        return np.exp(np.mean(logs, axis=1))
-    m, s = _log_power_sum(pv, logs)
-    with np.errstate(invalid="ignore"):
-        out = np.exp((m + np.log(s / logs.shape[1])) / pv)
+def _root_mean(pv: float, d: int, m: np.ndarray, s: np.ndarray, slow: np.ndarray) -> np.ndarray:
+    """(e^m s / d)^(1/p) per row, from ``_power_sums``: the root of the mean
+    on rows summed directly (m = 0), and e^((m + ln(s/d))/p) on the slow rows."""
+    # 1/p = inv + inv_lo to double-double (int / int rounds correctly), and
+    # x^inv_lo = 1 + inv_lo ln x keeps the root accurate where |ln x| is large
+    inv = 1.0 / pv
+    (a, b), (c, e) = pv.as_integer_ratio(), inv.as_integer_ratio()
+    inv_lo = (b * e - a * c) / (a * e)
+    ms, ss = m[slow], s[slow]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        mean = s / d
+        rows = np.power(mean, inv)
+        if inv_lo:
+            rows += rows * (inv_lo * np.log(mean))
+        lse = np.exp((ms + np.log(ss / d)) / pv)
     # m is infinite where a zero coordinate meets p < 0 or an infinite one
     # p > 0 (+inf), and on all-zero rows at p > 0 or all-infinite rows at
     # p < 0 (-inf): the p-mean is then e^(m/p), 0 or inf
-    bad = ~np.isfinite(m)
-    out[bad] = np.exp(m[bad] / pv)
-    return out
+    edge = ~np.isfinite(ms)
+    lse[edge] = np.exp(ms[edge] / pv)
+    rows[slow] = lse
+    return rows
+
+
+# az^p into the scratch array t, by multiplication or sqrt where p allows
+_POWERS = {
+    1.0: lambda az, t: az,
+    2.0: lambda az, t: np.multiply(az, az, out=t),
+    3.0: lambda az, t: np.multiply(np.multiply(az, az, out=t), az, out=t),
+    -1.0: lambda az, t: np.divide(1.0, az, out=t),
+    -2.0: lambda az, t: np.square(np.divide(1.0, az, out=t), out=t),
+    0.5: lambda az, t: np.sqrt(az, out=t),
+    -0.5: lambda az, t: np.divide(1.0, np.sqrt(az, out=t), out=t),
+}
+
+# a direct sum below this may have lost bits to terms that underflowed
+_DIRECT_FLOOR = 2.0 ** -960
+
+
+def _power_sums(pv: float, az: np.ndarray, buf=None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(m, s, slow) with sum_j az_j^p = e^m s per row of the nonnegative 2-D
+    array az, for finite p != 0; buf, if given, is scratch of az's shape.
+    Each row is summed directly, pairwise by ``sum(axis=1)``, with m = 0.
+    The ``slow`` rows, whose direct sum is not finite or is below 2^-960 (a
+    zero coordinate at p < 0, an infinite one at p > 0, terms that over- or
+    underflow), are recomputed alone by log-sum-exp: m is then the row's
+    largest p ln az_j, infinite (and s NaN) where the sum is 0 or infinite."""
+    if buf is None:
+        buf = np.empty_like(az)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        s = _POWERS.get(pv, lambda az, t: np.power(az, pv, out=t))(az, buf).sum(axis=1)
+    m = np.zeros_like(s)
+    slow = ~((s >= _DIRECT_FLOOR) & (s < math.inf))
+    if slow.any():
+        with np.errstate(divide="ignore"):
+            a = pv * np.log(az[slow])
+        m[slow] = a.max(axis=1)
+        with np.errstate(invalid="ignore"):
+            s[slow] = np.sum(np.exp(a - m[slow][:, None]), axis=1)
+    return m, s, slow
 
 
 def decide(p, c: float, n: int, sample_mean) -> bool:
@@ -149,18 +190,21 @@ class TestPlan:
         if self.theta1.shape != (self.d,):
             raise DomainError(f"theta1 must have dimension d={self.d}, got shape {self.theta1.shape}")
 
-    @property
+    @cached_property
     def direction(self) -> np.ndarray:
-        """theta1 normalized to a <.>_2-unit vector."""
+        """theta1 normalized to a <.>_2-unit vector, computed once per plan
+        and read-only."""
         # dividing by max |theta_j| first keeps <.>_2 clear of under- and overflow
         top = float(np.max(np.abs(self.theta1)))
         if top == 0.0:
-            return np.zeros_like(self.theta1)
-        v = self.theta1 / top
-        u = v / pmean(2.0, v)
-        norm = pmean(2.0, u)
-        if abs(norm - 1.0) > 1e-12:
-            raise AccuracyError("direction is not <.>_2-unit after normalization", norm, 1e-12)
+            u = np.zeros_like(self.theta1)
+        else:
+            v = self.theta1 / top
+            u = v / pmean(2.0, v)
+            norm = pmean(2.0, u)
+            if abs(norm - 1.0) > 1e-12:
+                raise AccuracyError("direction is not <.>_2-unit after normalization", norm, 1e-12)
+        u.flags.writeable = False
         return u
 
 

@@ -16,7 +16,7 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .hypotest import _abs_pmean_rows, _log_power_sum, pmean_rows
+from .hypotest import _abs_pmean_rows, _power_sums, pmean_rows
 from .moments import ExtendedP, limit_law
 from .numcore import ConfigError, DomainError, RngStream
 
@@ -113,8 +113,8 @@ def _upper_quantile(stats: np.ndarray, alpha: float, rng: RngStream) -> MCResult
 
 
 def _stat_rows_multi(eps: Sequence[ExtendedP], z: np.ndarray) -> list[np.ndarray]:
-    """<.>_p row statistics for several p, sharing log|z|."""
-    return _abs_pmean_rows([ep.value for ep in eps], np.abs(z))
+    """<.>_p row statistics of z for several p; z is overwritten by |z|."""
+    return _abs_pmean_rows([ep.value for ep in eps], np.abs(z, out=z))
 
 
 def empirical_critval_multi(ps: Sequence, d: int, alpha: float, reps: int,
@@ -182,12 +182,11 @@ def limit_law_ks(p, d: int, nrep: int, rng: RngStream, threads: int = 1) -> Limi
         az = np.abs(z, out=z)
         if not math.isfinite(pv):
             return _abs_pmean_rows([pv], az)[0]
-        with np.errstate(divide="ignore"):
-            logs = np.log(az, out=az)
         if pv == 0.0:
-            return logs.sum(axis=1)
-        mx, s = _log_power_sum(pv, logs)
-        return np.exp(mx + np.log(s))
+            with np.errstate(divide="ignore"):
+                return np.log(az, out=az).sum(axis=1)
+        m, s, _ = _power_sums(pv, az)
+        return s * np.exp(m)
 
     t = np.concatenate(_draw_chunks(sums, rng, nrep, d, threads))
     stat = (t - d * law.center) / law.scale

@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from mpmath import libmp
 
 from pmean.hypotest import (CriticalValue, InfeasibleError, ShiftVector, TestPlan,
+                            _power_sums,
                             as_shift_residual, as_shift_scale, critical_value, decide,
                             feasibility, pmean, pmean_rows, power_asymptotic,
                             sample_size)
@@ -82,6 +84,130 @@ class TestPMean:
     def test_empty_rejected(self):
         with pytest.raises(DomainError):
             pmean(2, [])
+
+
+def _log_space_pmean_rows(p, x):
+    """The row p-means by log-sum-exp, as the kernel computes its fallback
+    rows: the reference for edge semantics."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        a = p * np.log(np.abs(np.asarray(x, dtype=float)))
+        m = a.max(axis=1)
+        s = np.sum(np.exp(a - m[:, None]), axis=1)
+        out = np.exp((m + np.log(s / a.shape[1])) / p)
+    bad = ~np.isfinite(m)
+    out[bad] = np.exp(m[bad] / p)
+    return out
+
+
+def _oracle_pmean(p, row):
+    """The p-mean of a row of doubles to 30 digits: each distinct |x_j|^p
+    times its count, and their sum, in 100-bit mpmath arithmetic (raw libmp)."""
+    a = np.abs(np.asarray(row, dtype=float))
+    if p < 0 and np.any(a == 0.0):
+        return 0.0
+    if p > 0 and np.any(a == math.inf):
+        return math.inf
+    prec, pm = 100, libmp.from_float(p)
+    s = libmp.fzero
+    for x, n in zip(*(v.tolist() for v in np.unique(a[np.isfinite(a)], return_counts=True))):
+        term = libmp.mpf_pow(libmp.from_float(x), pm, prec)
+        s = libmp.mpf_add(s, libmp.mpf_mul(term, libmp.from_int(n), prec), prec)
+    if s == libmp.fzero:
+        return math.inf if p < 0 else 0.0
+    mean = libmp.mpf_div(s, libmp.from_int(a.size), prec)
+    return libmp.to_float(libmp.mpf_pow(mean, libmp.mpf_div(libmp.fone, pm, prec), prec))
+
+
+def _exp_log_tol(v):
+    """Relative error allowance for a p-mean v: 1e-14, plus the error of
+    e^(ln v) that the geometric mean (p = 0) carries at large |ln v|."""
+    return 1e-14 + 2.3e-16 * abs(math.log(v)) if 0.0 < v < math.inf else 0.0
+
+
+KERNEL_P = (-3.0, -2.0, -1.0, -0.7, -0.5, -0.3, 0.3, 0.5, 0.7, 1.0, 1.5, 2.0, 3.0, 7.0)
+SORTED_P = (-math.inf, -3.0, -2.0, -1.0, -0.5, -0.3, 0.0, 0.3, 0.5, 0.7, 1.0, 2.0, 3.0,
+            math.inf)
+# |x|^p stays within the double range for |p| <= 3, so every row is summed directly
+MODERATE = st.one_of(st.just(0.0), st.floats(1e-90, 1e90), st.floats(-1e90, -1e-90))
+MODERATE_ROW = st.lists(MODERATE, min_size=1, max_size=40)
+
+
+def _close(a, b, rel):
+    return a == b or abs(a - b) <= rel * abs(b)
+
+
+class TestKernel:
+    """The row kernel: direct power sums with a log-sum-exp fallback per row."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(MODERATE_ROW)
+    def test_nondecreasing_in_p(self, row):
+        vals = [pmean(p, row) for p in SORTED_P]
+        for a, b in zip(vals, vals[1:]):
+            assert a <= b * (1.0 + _exp_log_tol(b)), vals
+
+    @settings(max_examples=100, deadline=None)
+    @given(MODERATE_ROW, st.randoms(use_true_random=False), st.sampled_from(SORTED_P))
+    def test_permutation_and_sign_invariant(self, row, rnd, p):
+        moved = [x if rnd.random() < 0.5 else -x for x in row]
+        rnd.shuffle(moved)
+        want = pmean(p, row)
+        assert pmean(p, [-x for x in row]) == want
+        assert _close(pmean(p, moved), want, _exp_log_tol(want))
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(st.one_of(st.just(0.0), st.floats(1e-80, 1e80)), min_size=1, max_size=40),
+           st.floats(1e-10, 1e10), st.sampled_from(SORTED_P))
+    def test_positively_homogeneous(self, row, c, p):
+        want = c * pmean(p, row)
+        got = pmean(p, [c * x for x in row])
+        assert _close(got, want, 1e-14 if p != 0.0 else _exp_log_tol(want))
+
+    @pytest.mark.parametrize("d", [10, 1000, 1_000_000])
+    def test_gaussian_rows_against_mpmath(self, d):
+        rng = np.random.default_rng(d)
+        if d < 10**6:
+            z = rng.standard_normal((3, d))
+        else:
+            # resampled from 2e4 Gaussian draws, so the oracle meets each value once
+            z = rng.standard_normal(20_000)[rng.integers(20_000, size=(1, d))]
+        for p in (-2.0, -0.5, 0.7, 1.0, 2.0, 3.0):
+            for got, row in zip(pmean_rows(p, z), z):
+                want = _oracle_pmean(p, row)
+                assert abs(got - want) <= 1e-15 * want, (p, got, want)
+
+    EDGE_ROWS = [
+        [0.0, 1.3, 2.0], [math.inf, 0.4, 2.0], [0.0, math.inf, 1.0], [5e-324, 1.0, 2.5],
+        [1e300, 1.0, 2.5], [1e300, 3e299, 1e300], [-5e-324, 5e-324, 1e-320],
+        [1e-200] * 3, [0.0] * 3, [math.inf] * 3, [1e-170, 3e-160, 2e-175],
+        [1e170, 3e160, 2e175], [1e-120, 5e-130, 1e300],
+    ]
+
+    @pytest.mark.parametrize("p", KERNEL_P)
+    def test_edge_rows(self, p):
+        """Rows the kernel cannot sum directly are bit-equal to the log-space
+        path; the rest are within 1e-15 of the oracle (and within one
+        subnormal step of it, where the p-mean is subnormal)."""
+        x = np.array(self.EDGE_ROWS)
+        got = pmean_rows(p, x)
+        _, s, slow = _power_sums(p, np.abs(x))
+        lse = _log_space_pmean_rows(p, x)
+        assert np.array_equal(got[slow], lse[slow], equal_nan=True)
+        for g, row in zip(got[~slow], x[~slow]):
+            want = _oracle_pmean(p, row)
+            assert abs(g - want) <= 1e-15 * want + 5e-324, (p, row, g, want)
+        a = np.abs(x)
+        must = np.all(a == 0.0, axis=1) | np.all(a == math.inf, axis=1)
+        must |= np.any(a == 0.0, axis=1) if p < 0 else np.any(a == math.inf, axis=1)
+        # every term underflows: the row of small values at large p, and vice versa
+        must[[7, 10] if p >= 3 else [11] if p <= -3 else []] = True
+        assert np.all(slow[must]), slow
+
+    def test_zero_and_infinite_results_exact(self):
+        assert pmean(-2.0, [0.0, math.inf]) == 0.0
+        assert pmean(2.0, [0.0, math.inf]) == math.inf
+        assert pmean(-0.5, [math.inf, math.inf]) == math.inf
+        assert pmean(0.7, [0.0, 0.0]) == 0.0
 
 
 class TestDecide:
@@ -289,6 +415,12 @@ class TestTypes:
     def test_plan_direction_unit(self):
         plan = TestPlan(2.0, 4, 0.05, 0.95, np.array([2.0, 0.0, 0.0, 0.0]))
         assert abs(pmean(2.0, plan.direction) - 1.0) <= 1e-12
+
+    def test_plan_direction_computed_once(self):
+        plan = TestPlan(-2.0, 3, 0.05, 0.8, np.array([3.0, 0.0, -4.0]))
+        assert plan.direction is plan.direction
+        assert not plan.direction.flags.writeable
+        assert feasibility(plan).d0 == 1 and plan.direction is plan.direction
 
     def test_plan_direction_subnormal_and_huge(self):
         for theta, d0 in (([5e-324, 0.0, 0.0], 2), ([1e308, -1e308, 0.0], 1)):

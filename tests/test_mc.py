@@ -209,6 +209,11 @@ def _direction_fractions(p, d_list, reps, rng):
 D, REPS = 3, 140_001
 SHIFT = np.array([0.3, -0.1, 0.2])
 PS = [-math.inf, -2.0, 0.0, 1.5, math.inf]
+# every exponent of the benchmark's Monte Carlo workload, each with its own
+# power-sum branch; at d = 1000 a chunk holds 4194 rows, so 10_001 reps make
+# two full chunks and a partial one
+WORKLOAD_PS = [-math.inf, -2.0, -0.5, 0.0, 1.0, 2.0, 3.0, math.inf]
+WIDE_D, WIDE_REPS = 1000, 10_001
 
 
 @pytest.mark.parametrize("pair", [
@@ -218,6 +223,11 @@ PS = [-math.inf, -2.0, 0.0, 1.5, math.inf]
                                                         threads=t)),
     ("size_multi", lambda t: empirical_size_multi(PS, D, dict.fromkeys(PS, 1.0), REPS,
                                                   RngStream(84, 0), threads=t)),
+    ("critval_multi workload p", lambda t: empirical_critval_multi(
+        WORKLOAD_PS, WIDE_D, 0.05, WIDE_REPS, RngStream(89, 0), threads=t)),
+    ("size_multi workload p", lambda t: empirical_size_multi(
+        WORKLOAD_PS, WIDE_D, dict.fromkeys(WORKLOAD_PS, 1.0), WIDE_REPS, RngStream(90, 0),
+        threads=t)),
     ("limit_law_ks", lambda t: limit_law_ks(math.inf, D, REPS, RngStream(85, 0), threads=t)),
     ("schur2", lambda t: schur2_check(1.0, 2, 1.5, (math.sqrt(2), 0), (1, 1), REPS,
                                       RngStream(86, 0), threads=t)),
