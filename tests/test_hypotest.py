@@ -190,7 +190,7 @@ class TestKernel:
         subnormal step of it, where the p-mean is subnormal)."""
         x = np.array(self.EDGE_ROWS)
         got = pmean_rows(p, x)
-        _, s, slow = _power_sums(p, np.abs(x))
+        slow = _power_sums(p, np.abs(x))[2]
         lse = _log_space_pmean_rows(p, x)
         assert np.array_equal(got[slow], lse[slow], equal_nan=True)
         for g, row in zip(got[~slow], x[~slow]):
