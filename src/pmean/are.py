@@ -3,8 +3,8 @@
 Covers the equalized-direction efficiency constant a_p and its Gamma-ratio
 bound, the positive-homogeneous direction functional ||.||_{p,2} governing the
 p < 2 phase transition, the large-d phase-transition classifier, exact
-finite-d ARE by quadrature for d <= 3 in the continuous-sample-size Gaussian
-model, and the block construction attaining intermediate ARE values.
+finite-d ARE for d <= 3 by a tanh-sinh recursion over the coordinates, and
+the block construction attaining intermediate ARE values.
 
 For p in (-1/2, infinity) the constant collapses to
 
@@ -21,11 +21,11 @@ from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
-from scipy import integrate
 from scipy.special import gammaln, ndtr
 
 from .moments import ExtendedP, lambda_p, regime_row
-from .numcore import AccuracyError, DomainError, expand_bracket, find_root
+from .numcore import (GAUSS_TAIL_RADIUS, AccuracyError, DomainError, expand_bracket,
+                      find_root, normal_pdf, tanh_sinh)
 from .hypotest import pmean
 
 # psi'(1/2), psi''(1/2), psi'''(1/2) for the ln r Taylor branch at p = 0
@@ -398,104 +398,65 @@ def attaining_sequence(p: float, target: float, alpha: float, beta: float) -> Di
 # Exact finite-d ARE (d <= 3)
 # ---------------------------------------------------------------------------
 
-def _bracket_halfwidth(p: float, budget: float, partial: float) -> float:
-    """Half-width of the z-interval {|z|: partial + |z|^p <= / >= budget} for the
-    region <z>_p <= c; inf means the whole line, 0 means empty."""
-    rem = budget - partial
-    if p > 0.0:
-        return rem ** (1.0 / p) if rem > 0.0 else 0.0
-    # p < 0: region is sum |z_j|^p >= budget
-    if rem <= 0.0:
-        return math.inf
-    return rem ** (1.0 / p)
+def _prob_rows(p: float, r: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """P(sum_j t(Z_j + v_j) <= r) for each remaining budget in r, with
+    t = |.|^p (ln|.| at p = 0) and the inequality reversed for p < 0.
+
+    One coordinate at a time: the first is folded onto y = |z| >= 0 and
+    integrated over the window |v_0| -+ GAUSS_TAIL_RADIUS, split at the
+    Gaussian peak y = |v_0|.  Past the budget edge t(y) = r the rest is
+    certain, so the rule covers only the side where it is not: below the
+    edge for p > 0 (above it nothing is left), above it for p < 0 (below it
+    the rest has probability 1, a closed-form normal piece).
+    """
+    if p == 0.0:
+        t, t_inv = np.log, np.exp
+    else:
+        t = lambda y: y ** p
+        t_inv = lambda b: np.maximum(b, 0.0) ** (1.0 / p)
+    edge = t_inv(r)                # the budget edge: t(edge) = r
+    s = v[0]
+    within = ndtr(edge - s) - ndtr(-edge - s)    # P(|Z + s| <= edge)
+    if len(v) == 1:
+        return within
+    lo, hi = max(0.0, s - GAUSS_TAIL_RADIUS), s + GAUSS_TAIL_RADIUS
+    a = np.clip(edge, lo, hi) if p < 0.0 else np.full_like(r, lo)
+    b = np.clip(edge, lo, hi) if p > 0.0 else np.full_like(r, hi)
+    peak = np.clip(s, a, b)
+    a, b, rr = np.concatenate([a, peak]), np.concatenate([peak, b]), np.concatenate([r, r])
+    keep = b > a                   # the halves left after the clipping
+
+    def integrand(y):
+        rest = _prob_rows(p, (rr[keep, None] - t(y)).ravel(), v[1:]).reshape(y.shape)
+        return (normal_pdf(y - s) + normal_pdf(y + s)) * rest
+
+    halves = np.zeros(rr.size)
+    halves[keep] = tanh_sinh(integrand, a[keep, None], b[keep, None])
+    sure = within if p < 0.0 else 0.0
+    return sure + halves[:r.size] + halves[r.size:]
 
 
-def _prob_le(p: float, v: np.ndarray, c: float, tol: float = 1e-11) -> float:
-    """P(<Z + v>_p <= c) for d = len(v) in {1, 2, 3} and c > 0."""
-    d = len(v)
+def _prob_le(p: float, v: np.ndarray, c: float) -> float:
+    """P(<Z + v>_p <= c) for d = len(v) in {1, 2, 3} and c >= 0: the region
+    sum_j t(Z_j + v_j) <= d t(c) (>= for p < 0), by ``_prob_rows``."""
+    v = np.asarray(v, dtype=float)
     pv = float(ExtendedP.of(p).value)
     if pv == math.inf:
-        return float(np.prod([ndtr(c - vj) - ndtr(-c - vj) for vj in v]))
+        return float(np.prod(ndtr(c - v) - ndtr(-c - v)))
     if pv == -math.inf:
-        return 1.0 - float(np.prod([1.0 - (ndtr(c - vj) - ndtr(-c - vj)) for vj in v]))
-    if d == 1:
-        return float(ndtr(c - v[0]) - ndtr(-c - v[0]))
-
-    def _phi(x):
-        return math.exp(-0.5 * x * x) / math.sqrt(2.0 * math.pi)
-
-    if d == 2:
-        if pv == 0.0:
-            def integrand(z1):
-                if z1 == 0.0:
-                    return _phi(-v[0])
-                g = c * c / abs(z1)
-                return _phi(z1 - v[0]) * (ndtr(g - v[1]) - ndtr(-g - v[1]))
-
-            val, err = integrate.quad(integrand, v[0] - 9.0, v[0] + 9.0,
-                                      points=[0.0] if abs(v[0]) < 9.0 else None,
-                                      epsabs=tol, epsrel=tol, limit=400)
-            return val
-        budget = d * c ** pv
-
-        def integrand(z1):
-            g = _bracket_halfwidth(pv, budget, abs(z1) ** pv if z1 != 0.0 else math.inf if pv < 0 else 0.0)
-            if g == 0.0:
-                return 0.0
-            if g == math.inf:
-                return _phi(z1 - v[0])
-            return _phi(z1 - v[0]) * (ndtr(g - v[1]) - ndtr(-g - v[1]))
-
-        if pv > 0.0:
-            L = budget ** (1.0 / pv)
-            lo, hi = max(-L, v[0] - 9.0), min(L, v[0] + 9.0)
-            pts = [0.0] if lo < 0.0 < hi else None
-        else:
-            lo, hi = v[0] - 9.0, v[0] + 9.0
-            edge = budget ** (1.0 / pv)  # |z1| below this leaves the whole line for z2
-            pts = [x for x in (-edge, 0.0, edge) if lo < x < hi]
-        val, err = integrate.quad(integrand, lo, hi, points=pts,
-                                  epsabs=tol, epsrel=tol, limit=400)
-        return val
-
-    if d != 3:
-        raise DomainError(f"finite-d ARE quadrature supports d in {{1,2,3}}, got {d}")
-
-    inner_tol = max(tol, 1e-9)
-
-    def prob2(z1):
-        """conditional over (z2, z3) given z1."""
-        if pv == 0.0:
-            if z1 == 0.0:
-                return 1.0
-            cc = (c ** 3 / abs(z1)) ** 0.5
-        else:
-            part = abs(z1) ** pv if z1 != 0.0 else (math.inf if pv < 0 else 0.0)
-            rem = 3.0 * c ** pv - part
-            if pv > 0.0:
-                if rem <= 0.0:
-                    return 0.0
-                cc = (rem / 2.0) ** (1.0 / pv)
-            else:
-                if rem <= 0.0:
-                    return 1.0
-                cc = (rem / 2.0) ** (1.0 / pv)
-        # two-coordinate region with per-axis budget 2 cc^p
-        return _prob_le(pv, v[1:], cc, tol=inner_tol)
-
-    def integrand(z1):
-        return _phi(z1 - v[0]) * prob2(z1)
-
-    if pv > 0.0:
-        L = (3.0 ** (1.0 / pv)) * c
-        lo, hi = max(-L, v[0] - 9.0), min(L, v[0] + 9.0)
-        pts = None
-    else:
-        lo, hi = v[0] - 9.0, v[0] + 9.0
-        pts = [0.0] if lo < 0.0 < hi else None
-    val, err = integrate.quad(integrand, lo, hi, points=pts,
-                              epsabs=inner_tol, epsrel=inner_tol, limit=200)
-    return val
+        return 1.0 - float(np.prod(1.0 - (ndtr(c - v) - ndtr(-c - v))))
+    if len(v) not in (1, 2, 3):
+        raise DomainError(f"finite-d ARE quadrature supports d in {{1,2,3}}, got {len(v)}")
+    # largest shift outermost: the last coordinate's probability then turns
+    # over at half-widths near the smallest shift, never in a thin layer at
+    # the budget edge
+    v = np.sort(np.abs(v))[::-1]
+    with np.errstate(divide="ignore", over="ignore"):
+        budget = len(v) * (np.log(c) if pv == 0.0 else np.float64(c) ** pv)
+        if not math.isfinite(budget):
+            # c = 0 or c^p out of range: a null region, or all of R^d for p > 0
+            return float(pv > 0.0)
+        return float(_prob_rows(pv, np.array([budget]), v)[0])
 
 
 def are_finite(p, d: int, u, alpha: float, beta: float) -> float:
@@ -518,13 +479,7 @@ def are_finite(p, d: int, u, alpha: float, beta: float) -> float:
         def size_gap(c):
             return (1.0 - _prob_le(pp, np.zeros(d), c)) - alpha
 
-        c_hi = 1.0
-        while size_gap(c_hi) > 0.0:
-            c_hi *= 2.0
-        c_lo = c_hi / 2.0
-        while size_gap(c_lo) < 0.0:
-            c_lo /= 2.0
-        c = find_root(size_gap, c_lo, c_hi, tol=1e-13)
+        c = find_root(size_gap, *expand_bracket(size_gap), tol=1e-13)
 
         def power_gap(t):
             return (1.0 - _prob_le(pp, t * u, c)) - beta

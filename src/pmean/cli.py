@@ -25,7 +25,7 @@ from . import __version__
 from .are import (IndeterminateGrowthError, ap_curve, are_finite, block_sequence,
                   classify_are, equalized_sequence, spike_sequence, verify_ap_bound)
 from .hypotest import (InfeasibleError, TestPlan, as_shift_scale, critical_value,
-                       feasibility, power_asymptotic)
+                       feasibility, n_for_scale, power_asymptotic)
 from .mc import empirical_critval, empirical_power, limit_law_ks, schur2_check
 from .numcore import AccuracyError, BracketError, ConfigError, DomainError, RngStream
 
@@ -262,7 +262,7 @@ def _samplesize(args):
     theta = parse_vector(args.theta, args.d)
     plan = TestPlan(parse_p(args.p), args.d, args.alpha, args.beta, theta)
     t = as_shift_scale(plan, slack=args.slack)
-    n = max(1, int(math.ceil(t * t - 1e-9)))
+    n = n_for_scale(t)
     pw = power_asymptotic(plan.p, args.d, args.alpha, math.sqrt(n) * theta)
     return {"n": n, "shift_scale": t}, {"power_at_n": pw}
 

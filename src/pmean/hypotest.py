@@ -320,11 +320,16 @@ def as_shift_scale(plan: TestPlan, slack: float = 0.0) -> float:
     return find_root(g, lo, hi, tol=1e-12)
 
 
+def n_for_scale(t: float) -> int:
+    """The sample size n = ceil(t^2), at least 1, for shift scale t; a t^2 up
+    to 1e-9 above an integer rounds down to it."""
+    return max(1, int(math.ceil(t * t - 1e-9)))
+
+
 def sample_size(plan: TestPlan, slack: float = 0.0) -> int:
     """Smallest integer n with asymptotic power >= beta: n = ceil(t*^2) with
     t* from the sufficient-shift equation (ceiling of ||s||^2 / ||theta1||^2)."""
-    t = as_shift_scale(plan, slack=slack)
-    return max(1, int(math.ceil(t * t - 1e-9)))
+    return n_for_scale(as_shift_scale(plan, slack=slack))
 
 
 def as_shift_residual(p, d: int, alpha: float, beta: float, s) -> float:

@@ -1,6 +1,7 @@
 import math
 import warnings
 
+import mpmath
 import numpy as np
 import pytest
 from scipy import stats
@@ -192,7 +193,48 @@ class TestClassify:
         assert classify_are(math.inf, equalized_sequence(), 0.05, 0.95).tag == "zero"
 
 
+def _prob_le_d2_mpmath(p, v, c):
+    """P(<Z + v>_p <= c) at d = 2 in 25-digit arithmetic: z_1 over the line,
+    z_2 in closed form, split where the z_2 probability has a kink (the budget
+    edge, z_1 = 0) or turns over (half-widths |v_2|, |v_2| +- 2 and +- 6)."""
+    with mpmath.workdps(25):
+        p, c = mpmath.mpf(p), mpmath.mpf(c)
+        v1, v2 = mpmath.mpf(v[0]), abs(mpmath.mpf(v[1]))
+        t = (lambda x: mpmath.log(x)) if p == 0 else (lambda x: x ** p)
+        t_inv = (lambda b: mpmath.exp(b)) if p == 0 else (lambda b: b ** (1 / p))
+        budget = 2 * t(c)
+
+        def rest(z):
+            b = budget - t(abs(z))
+            if p != 0 and b <= 0:
+                return mpmath.mpf(p < 0)
+            g = t_inv(b)
+            return mpmath.ncdf(g - v2) - mpmath.ncdf(-g - v2)
+
+        lo, hi = v1 - 12, v1 + 12
+        if p > 0:
+            lo, hi = max(lo, -t_inv(budget)), min(hi, t_inv(budget))
+        pts = [lo, hi, v1, 0] + ([t_inv(budget), -t_inv(budget)] if p else [])
+        for g in (v2 - 6, v2 - 2, v2, v2 + 2, v2 + 6):
+            if g > 0 and (p == 0 or budget - t(g) > 0):
+                pts += [t_inv(budget - t(g)), -t_inv(budget - t(g))]
+        pts = sorted(set(x for x in pts if lo <= x <= hi))
+        return float(mpmath.quad(lambda z: mpmath.npdf(z - v1) * rest(z), pts))
+
+
 class TestProbLe:
+    @pytest.mark.parametrize("p", [-5.0, -2.0, -1.0, -0.7, -0.3, 0.0, 0.25, 0.5, 1.0, 3.0, 7.0])
+    def test_d2_mpmath_oracle(self, p):
+        # shifts from O(1) to |v| = 30, where the z_2 probability turns over in
+        # a thin layer next to the budget edge unless the large shift goes
+        # first; c near <v>_p keeps the probability away from 0 and 1
+        rng = np.random.default_rng(int(100 * p) % 2**32)
+        shifts = [rng.uniform(-2, 2, size=2), np.array([rng.uniform(-1, 1), 30.0]),
+                  np.array([-28.0, rng.uniform(-4, 4)])]
+        for v in shifts:
+            c = max(pmean(p, v), 0.3) * rng.uniform(0.7, 1.3)
+            assert abs(_prob_le(p, v, c) - _prob_le_d2_mpmath(p, v, c)) <= 1e-10, (v, c)
+
     def test_ncx2_oracle(self):
         # at p = 2 the region is a ball: noncentral chi-square closed form
         for d in (2, 3):
@@ -201,7 +243,7 @@ class TestProbLe:
                 v = rng.normal(size=d)
                 c = rng.uniform(0.8, 2.0)
                 exact = stats.ncx2.cdf(d * c * c, d, float(np.sum(v * v)))
-                assert abs(_prob_le(2.0, v, c) - exact) < 1e-7
+                assert abs(_prob_le(2.0, v, c) - exact) < 1e-12
 
     def test_pinf_product(self):
         from scipy.special import ndtr
@@ -209,6 +251,18 @@ class TestProbLe:
         c = 1.4
         exact = np.prod([ndtr(c - x) - ndtr(-c - x) for x in v])
         assert abs(_prob_le(math.inf, v, c) - exact) < 1e-12
+
+    def test_minf_product(self):
+        # <z>_{-inf} = min |z_j| <= c unless every |z_j| exceeds c
+        from scipy.special import ndtr
+        v = np.array([0.3, -1.0, 0.7])
+        c = 0.4
+        exact = 1.0 - np.prod([1.0 - (ndtr(c - x) - ndtr(-c - x)) for x in v])
+        assert abs(_prob_le(-math.inf, v, c) - exact) < 1e-12
+
+    def test_zero_c_is_null(self):
+        for p in (-2.0, 0.0, 1.0, math.inf, -math.inf):
+            assert _prob_le(p, np.zeros(3), 0.0) == 0.0
 
 
 class TestAreFinite:
