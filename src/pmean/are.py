@@ -399,8 +399,8 @@ def attaining_sequence(p: float, target: float, alpha: float, beta: float) -> Di
 # ---------------------------------------------------------------------------
 
 def _prob_rows(p: float, r: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """P(sum_j t(Z_j + v_j) <= r) for each remaining budget in r, with
-    t = |.|^p (ln|.| at p = 0) and the inequality reversed for p < 0.
+    """P(sum_j t(Z_j + v_j) <= r) for each remaining budget in r and shifts
+    v >= 0, with t = |.|^p (ln|.| at p = 0) and >= in place of <= for p < 0.
 
     One coordinate at a time: the first is folded onto y = |z| >= 0 and
     integrated over the window |v_0| -+ GAUSS_TAIL_RADIUS, split at the

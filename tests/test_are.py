@@ -200,8 +200,8 @@ def _prob_le_d2_mpmath(p, v, c):
     with mpmath.workdps(25):
         p, c = mpmath.mpf(p), mpmath.mpf(c)
         v1, v2 = mpmath.mpf(v[0]), abs(mpmath.mpf(v[1]))
-        t = (lambda x: mpmath.log(x)) if p == 0 else (lambda x: x ** p)
-        t_inv = (lambda b: mpmath.exp(b)) if p == 0 else (lambda b: b ** (1 / p))
+        t = mpmath.log if p == 0 else (lambda x: x ** p)
+        t_inv = mpmath.exp if p == 0 else (lambda b: b ** (1 / p))
         budget = 2 * t(c)
 
         def rest(z):
