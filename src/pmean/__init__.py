@@ -16,8 +16,8 @@ from .numcore import (AccuracyError, BracketError, ConfigError, DomainError,
 from .moments import (ExtendedP, LimitLaw, Regime, RegimeRow, b_p, c_crit_inf, lambda_inf,
                       lambda_p, lambda_p_zero, lambda_pm, limit_law, log_moment, mu_tilde,
                       regime_row)
-from .stable import (StableLaw, cf_exponent, stable_cdf, stable_quantile,
-                     stable_sample, support_lower_bound)
+from .stable import (StableLaw, stable_cdf, stable_quantile, stable_sample,
+                     support_lower_bound)
 from .hypotest import (CriticalValue, Feasibility, InfeasibleError, ShiftVector,
                        TestPlan, as_shift_residual, as_shift_scale, critical_value,
                        decide, feasibility, pmean, pmean_rows, power_asymptotic,

@@ -24,8 +24,7 @@ import numpy as np
 from scipy.special import gammaln, ndtr
 
 from .moments import ExtendedP, lambda_p, regime_row
-from .numcore import (GAUSS_TAIL_RADIUS, AccuracyError, DomainError, expand_bracket,
-                      find_root, normal_pdf, tanh_sinh)
+from .numcore import GAUSS_TAIL_RADIUS, DomainError, find_root, normal_pdf, tanh_sinh
 from .hypotest import pmean
 
 # psi'(1/2), psi''(1/2), psi'''(1/2) for the ln r Taylor branch at p = 0
@@ -109,19 +108,6 @@ def r3(p):
     for j in (0, 1):
         out = out * ((p + 1.0) / 2.0 + j) ** 2 / ((p / 2.0 + 0.25 + j) * (p / 2.0 + 0.75 + j))
     return out
-
-
-def _r_tilde(i: int, p):
-    p = np.asarray(p, dtype=float)
-    if i == 1:
-        ln = gammaln(1.5) + gammaln(p + 1.5) - 2.0 * gammaln((p + 1.0) / 2.0 + 1.0)
-    elif i == 2:
-        ln = gammaln(5.5) + gammaln(p + 3.5) - 2.0 * gammaln((p + 1.0) / 2.0 + 4.0)
-    elif i == 3:
-        ln = gammaln(p / 2.0 + 2.25) + gammaln(p / 2.0 + 2.75) - 2.0 * gammaln((p + 1.0) / 2.0 + 2.0)
-    else:
-        raise DomainError(f"no factorization index {i}")
-    return np.exp(ln)
 
 
 @dataclass(frozen=True)
@@ -216,15 +202,7 @@ def orlicz_norm(p: float, alpha: float, beta: float, v) -> float:
     def excess(log_t):
         return float(np.dot(counts, g(logs - log_t))) - budget
 
-    lo = logs[-1] - 40.0
-    hi = logs[-1] + 5.0
-    while excess(hi) > 0.0:
-        hi += 5.0
-    while excess(lo) < 0.0:
-        lo -= 10.0
-        if lo < -750.0:
-            return 0.0
-    return math.exp(find_root(excess, lo, hi, tol=1e-12))
+    return math.exp(find_root(excess, logs[-1] - 40.0, logs[-1] + 5.0, tol=1e-12))
 
 
 # ---------------------------------------------------------------------------
@@ -366,24 +344,13 @@ def attaining_sequence(p: float, target: float, alpha: float, beta: float) -> Di
     rowp = regime_row(p, alpha, 2)
     K2, Kp = regime_row(2.0, alpha, 2).K(beta), rowp.K(beta)
 
-    def ratio(s):
-        return K2 * float(rowp.f(s)) / (Kp * s * s)
+    def gap(log_s):
+        s = math.exp(log_s)
+        return K2 * float(rowp.f(s)) / (Kp * s * s) - target
 
-    # ratio(s) runs from a_p at s -> 0 monotonically to 0 (p < 2) or to
-    # infinity (p > 2); grow hi toward the far end, shrink lo if the target
-    # sits next to a_p
-    lo, hi = 1e-3, 1.0
-    for _ in range(60):
-        if (ratio(hi) > target) != (ratio(lo) > target):
-            break
-        if (ratio(hi) > target) == (p < 2.0):
-            hi *= 2.0
-        else:
-            lo /= 2.0
-    else:
-        raise AccuracyError("could not bracket the block scale", hi, target)
-    s_star = find_root(lambda s: ratio(s) - target, lo, hi, tol=1e-12)
-    f_star = float(rowp.f(s_star))
+    # the ratio runs from a_p at s -> 0 monotonically to 0 (p < 2) or to
+    # infinity (p > 2)
+    f_star = float(rowp.f(math.exp(find_root(gap, math.log(1e-3), 0.0, tol=1e-12))))
 
     def gen(d):
         k = max(1, min(d, int(round(Kp * math.sqrt(d) / f_star))))
@@ -479,12 +446,12 @@ def are_finite(p, d: int, u, alpha: float, beta: float) -> float:
         def size_gap(c):
             return (1.0 - _prob_le(pp, np.zeros(d), c)) - alpha
 
-        c = find_root(size_gap, *expand_bracket(size_gap), tol=1e-13)
+        c = find_root(size_gap, 0.0, 1.0, tol=1e-13)
 
         def power_gap(t):
             return (1.0 - _prob_le(pp, t * u, c)) - beta
 
-        return find_root(power_gap, *expand_bracket(power_gap), tol=1e-13)
+        return find_root(power_gap, 0.0, 1.0, tol=1e-13)
 
     t2 = solve_for(2.0)
     tp = solve_for(ExtendedP.of(p).value)

@@ -22,7 +22,7 @@ from typing import Optional, Union
 import numpy as np
 
 from .moments import ExtendedP, regime_row
-from .numcore import AccuracyError, ConfigError, DomainError, RngStream, expand_bracket, find_root
+from .numcore import AccuracyError, ConfigError, DomainError, RngStream, find_root
 
 
 class InfeasibleError(ValueError):
@@ -314,10 +314,9 @@ def as_shift_scale(plan: TestPlan, slack: float = 0.0) -> float:
     def g(t):
         return shift_sum(t) - target
 
-    # double t for as long as t max|theta_j| stays finite
+    # widen t = 1, 2, 4, ... only while t max|theta_j| stays finite
     _, exponent = math.frexp(float(np.max(np.abs(plan.theta1))))
-    lo, hi = expand_bracket(g, max_iter=min(1024, 1025 - exponent))
-    return find_root(g, lo, hi, tol=1e-12)
+    return find_root(g, 0.0, 1.0, tol=1e-12, max_iter=min(1023, 1024 - exponent))
 
 
 def n_for_scale(t: float) -> int:

@@ -95,10 +95,6 @@ class ExtendedP:
             return Regime.NEG_HALF_TO_ZERO
         return Regime.ZERO_TO_INF
 
-    @property
-    def is_finite(self) -> bool:
-        return math.isfinite(self.value)
-
     def __float__(self) -> float:
         return self.value
 

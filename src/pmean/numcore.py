@@ -1,5 +1,5 @@
 """Foundational numerics: normal functions, the fixed tanh-sinh rule,
-Gaussian-expectation quadrature, bracketed root finding, and reproducible
+Gaussian-expectation quadrature, one root finder, and reproducible
 counter-based RNG streams.
 
 Everything here is deterministic and re-entrant.  RngStream instances are
@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy import integrate, optimize
+from scipy import optimize
 from scipy.special import ndtr, ndtri
 
 
@@ -83,6 +83,8 @@ def gauss_expect(f: Callable[[float], float], s: float, points: tuple = ()) -> f
     exactly there.  Integrating in z keeps the Gaussian factor fully resolved
     for huge |s|.
     """
+    from scipy import integrate   # loaded on first use: no planning path calls this
+
     R = GAUSS_TAIL_RADIUS
     pts = sorted(p - s for p in points if -R < p - s < R)
 
@@ -136,35 +138,35 @@ def tanh_sinh(g: Callable[[np.ndarray], np.ndarray], a, b) -> np.ndarray:
     return (b - a)[:, 0] * (g(a + (b - a) * TS_FL) @ TS_WEIGHTS)
 
 
-def find_root(g: Callable[[float], float], lo: float, hi: float, tol: float = 1e-12) -> float:
-    """Root of g on [lo, hi] by Brent's method; g(lo) and g(hi) must differ in sign."""
+def find_root(g: Callable[[float], float], lo: float, hi: float, tol: float = 1e-12,
+              max_iter: int = 200) -> float:
+    """Root of a monotone g, increasing or decreasing, by Brent's method from
+    a first guess [lo, hi] that need not bracket it.  While g(lo) and g(hi)
+    share a sign, the end with the smaller |g| (hi on a tie) doubles its
+    distance from the other end; after ``max_iter`` such moves BracketError.
+    A guess that already brackets the root goes to Brent unchanged."""
     if not (math.isfinite(lo) and math.isfinite(hi)) or lo >= hi:
         raise DomainError(f"invalid bracket [{lo}, {hi}]")
     glo, ghi = g(lo), g(hi)
-    if glo == 0.0:
-        return lo
-    if ghi == 0.0:
-        return hi
-    if glo * ghi > 0:
-        raise BracketError(f"no sign change on [{lo}, {hi}]: g(lo)={glo}, g(hi)={ghi}")
-    return float(optimize.brentq(g, lo, hi, xtol=tol, rtol=8.881784197001252e-16))
-
-
-def expand_bracket(g: Callable[[float], float], start: float = 1.0,
-                   max_iter: int = 200) -> tuple[float, float]:
-    """Double t from ``start`` until g changes sign on [0, t]; g(0) sets the
-    reference sign, and g(0) = 0 returns [0, start] at once.  Raises
-    BracketError if the budget of ``max_iter`` evaluations is exhausted."""
-    g0 = g(0.0)
-    t = start
-    if g0 == 0.0:
-        return 0.0, t
-    for _ in range(max_iter):
-        gt = g(t)
-        if gt == 0.0 or (g0 < 0) != (gt < 0):
-            return 0.0, t
-        t *= 2.0
-    raise BracketError(f"no sign change found while expanding up to t={t / 2.0}")
+    moves = 0
+    while glo != 0.0 and ghi != 0.0 and (glo < 0) == (ghi < 0):
+        if moves == max_iter:
+            raise BracketError(f"no sign change on [{lo}, {hi}] after {max_iter} widenings: "
+                               f"g(lo)={glo}, g(hi)={ghi}")
+        moves += 1
+        if abs(ghi) <= abs(glo):
+            hi = lo + 2.0 * (hi - lo)
+            ghi = g(hi)
+        else:
+            lo = hi - 2.0 * (hi - lo)
+            glo = g(lo)
+    # brentq returns an end where g is zero as it stands
+    root, info = optimize.brentq(g, lo, hi, xtol=tol, rtol=8.881784197001252e-16,
+                                 full_output=True, disp=False)
+    if not info.converged:
+        raise AccuracyError(f"find_root: Brent's method did not converge on [{lo}, {hi}]",
+                            float(root), hi - lo)
+    return float(root)
 
 
 @dataclass(frozen=True)

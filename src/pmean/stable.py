@@ -58,15 +58,6 @@ class StableLaw:
         """Stable index -1/p in (0, 2)."""
         return -1.0 / self.p
 
-    def levy_density(self, x):
-        """Levy measure density sqrt(2/pi) * (-1/p) * x^(-1+1/p) on x > 0."""
-        x = np.asarray(x, dtype=float)
-        with np.errstate(over="ignore", divide="ignore"):
-            out = np.where(x > 0,
-                           CPLUS * self.alpha * np.power(np.where(x > 0, x, 1.0), -1.0 - self.alpha),
-                           0.0)
-        return float(out) if out.ndim == 0 else out
-
 
 @dataclass(frozen=True)
 class _Exponent:
@@ -92,17 +83,6 @@ class _Exponent:
             return self.delta
         return self.delta + (2.0 / math.pi) * self.C * math.log(self.C)
 
-    def __call__(self, u):
-        u = np.asarray(u, dtype=float)
-        if self.a != 1.0:
-            main = -self.C * np.abs(u) ** self.a * np.exp(-1j * (math.pi * self.a / 2.0) * np.sign(u))
-            out = 1j * u * self.delta + main
-        else:
-            au = np.abs(u)
-            lnu = np.where(au > 0, np.log(np.maximum(au, 1e-300)), 0.0)
-            out = 1j * u * self.delta - self.C * (au + 1j * (2.0 / math.pi) * u * lnu)
-        return complex(out) if out.ndim == 0 else out
-
 
 @lru_cache(maxsize=4096)
 def _law_exponent(law: StableLaw) -> _Exponent:
@@ -110,11 +90,6 @@ def _law_exponent(law: StableLaw) -> _Exponent:
     if a != 1.0:
         return _Exponent(a, CPLUS * _gamma_fn(1.0 - a), law.b + CPLUS * a / (a - 1.0))
     return _Exponent(1.0, CPLUS * math.pi / 2.0, law.b + CPLUS * (1.0 - EULER_GAMMA))
-
-
-def cf_exponent(law: StableLaw, u):
-    """log E exp(i u zeta_{p,b}), closed form derived from the Levy triplet."""
-    return _law_exponent(law)(u)
 
 
 # ---------------------------------------------------------------------------
@@ -240,14 +215,8 @@ def _quantile_cached(law: StableLaw, q: float) -> float:
     step = max(ex.scale, 1.0)
     # the right tail is P(X > x) ~ CPLUS x^-a
     hi = ex.shift + max(4.0 * step, 3.0 * (CPLUS / (1.0 - q)) ** (1.0 / ex.a))
-    while _cdf_exponent(ex, hi) < q:
-        hi = ex.shift + 2.0 * (hi - ex.shift)
-    if ex.a < 1.0:
-        lo = ex.shift     # F = 0 at the lower end of the support
-    else:
-        lo = ex.shift - 4.0 * step
-        while _cdf_exponent(ex, lo) > q:
-            lo = ex.shift - 2.0 * (ex.shift - lo)
+    # F = 0 at the lower end of the support when a < 1
+    lo = ex.shift if ex.a < 1.0 else ex.shift - 4.0 * step
     return find_root(lambda x: _cdf_exponent(ex, x) - q, lo, hi, tol=1e-11)
 
 

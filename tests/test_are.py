@@ -5,14 +5,27 @@ import mpmath
 import numpy as np
 import pytest
 from scipy import stats
+from scipy.special import gammaln
 
 from pmean.are import (DirectionSequence,
                        IndeterminateGrowthError, _prob_le, a_p, a_p_moment_route,
                        ap_curve, are_finite, attaining_sequence, block_sequence,
                        classify_are, equalized_sequence, gamma_ratio, orlicz_norm,
-                       r1, r2, r3, _r_tilde, spike_sequence, verify_ap_bound)
+                       r1, r2, r3, spike_sequence, verify_ap_bound)
 from pmean.hypotest import TestPlan, pmean, sample_size
 from pmean.numcore import DomainError
+
+
+def _r_tilde(i: int, p):
+    """The Gamma-ratio cofactor with r = r_i r~_i of the factorization r_i."""
+    p = np.asarray(p, dtype=float)
+    if i == 1:
+        ln = gammaln(1.5) + gammaln(p + 1.5) - 2.0 * gammaln((p + 1.0) / 2.0 + 1.0)
+    elif i == 2:
+        ln = gammaln(5.5) + gammaln(p + 3.5) - 2.0 * gammaln((p + 1.0) / 2.0 + 4.0)
+    else:
+        ln = gammaln(p / 2.0 + 2.25) + gammaln(p / 2.0 + 2.75) - 2.0 * gammaln((p + 1.0) / 2.0 + 2.0)
+    return np.exp(ln)
 
 
 class TestAp:

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -13,7 +14,7 @@ from pmean.hypotest import (CriticalValue, InfeasibleError, ShiftVector, TestPla
                             sample_size)
 from pmean.mc import empirical_critval
 from pmean.moments import regime_row
-from pmean.numcore import ConfigError, DomainError, RngStream
+from pmean.numcore import BracketError, ConfigError, DomainError, RngStream
 
 ALL_P = (-math.inf, -1.0, 0.0, 1.0, 2.0, 7.0, math.inf)
 K2 = 4.652348614706696  # (ndtri(.95) - ndtri(.05)) sqrt(2)
@@ -350,6 +351,28 @@ class TestSampleSize:
         assert abs(as_shift_residual(0.0, d, 0.05, 0.8, t * theta)) < 1e-9
         n = sample_size(plan)
         assert abs(power_asymptotic(0.0, d, 0.05, math.sqrt(n) * theta) - 0.8) < 1e-9
+
+    def test_shift_scale_positive_in_every_regime(self):
+        # the exponential rows (p < -1, p = -inf) have shift sums that
+        # decrease in t; every row's root still lies at t > 0
+        d = 10_000
+        theta = np.ones(d)
+        for p in (-math.inf, -2.0, -1.0, -0.7, -0.5, -0.25, 0.0, 1.0, math.inf):
+            t = as_shift_scale(TestPlan(p, d, 0.05, 0.8, theta))
+            assert t > 0.0, p
+            assert abs(as_shift_residual(p, d, 0.05, 0.8, t * theta)) < 1e-9, p
+
+    def test_p0_spike_out_of_range_raises_cleanly(self):
+        # the root lies past the largest finite t: widening stops at 2^1023,
+        # with no overflow warning from a step beyond it
+        d = 10**6
+        theta = np.zeros(d)
+        theta[0] = 1.0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(BracketError) as exc:
+                as_shift_scale(TestPlan(0.0, d, 0.05, 0.8, theta))
+        assert repr(2.0 ** 1023) in str(exc.value)
 
 
 class TestFeasibility:

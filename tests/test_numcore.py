@@ -1,11 +1,16 @@
 import math
+import subprocess
+import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.optimize import brentq
 
 from pmean.numcore import (AccuracyError, BracketError, DomainError, RngStream,
-                           expand_bracket, find_root, gauss_expect, normal_cdf,
-                           normal_pdf, normal_quantile)
+                           find_root, gauss_expect, normal_cdf, normal_pdf,
+                           normal_quantile)
 
 
 def mp_quantile_oracle(q):
@@ -89,7 +94,7 @@ def test_find_root_examples():
     r = find_root(lambda x: normal_cdf(x) - 0.975, 0.0, 4.0)
     assert abs(r - mp_quantile_oracle(0.975)) < 1e-10
     with pytest.raises(BracketError):
-        find_root(lambda x: x - 1.0, 2.0, 3.0)
+        find_root(lambda x: 2.0 + math.atan(x), 2.0, 3.0)
 
 
 def test_find_root_idempotent():
@@ -99,11 +104,70 @@ def test_find_root_idempotent():
     assert abs(r1 - r2) < 1e-11
 
 
-def test_expand_bracket():
-    lo, hi = expand_bracket(lambda t: t - 5.0)
-    assert lo == 0.0 and hi >= 5.0
+def test_find_root_widens():
+    assert abs(find_root(lambda t: t - 5.0, 0.0, 1.0) - 5.0) < 1e-12
+    # x - 1 on [2, 3]: the left end, where |g| is smaller, moves onto the root
+    assert find_root(lambda x: x - 1.0, 2.0, 3.0) == 1.0
     with pytest.raises(BracketError):
-        expand_bracket(lambda t: -1.0, max_iter=5)
+        find_root(lambda t: -1.0, 0.0, 1.0, max_iter=5)
+
+
+def test_find_root_widening_path():
+    # each move doubles the moving end's distance from the other end, and
+    # the last end reached is named when the budget runs out
+    seen = []
+
+    def g(t):
+        seen.append(t)
+        return -1.0
+
+    with pytest.raises(BracketError, match=repr(8.0)):
+        find_root(g, 0.0, 1.0, max_iter=3)
+    assert seen == [0.0, 1.0, 2.0, 4.0, 8.0]
+    # a tie moves hi; a smaller |g| at lo moves lo
+    assert find_root(lambda x: -x - 1.0, 0.0, 1.0) == -1.0
+
+
+# smooth g, strictly monotone in floating point over the range widening reaches
+_SHAPES = (math.atan, math.asinh, lambda u: u + u ** 3 / 3.0)
+
+
+@settings(max_examples=200, deadline=None)
+@given(shape=st.sampled_from(range(len(_SHAPES))),
+       root=st.floats(-50.0, 50.0),
+       scale=st.floats(0.05, 20.0),
+       sign=st.sampled_from((-1.0, 1.0)),
+       lo_off=st.floats(-60.0, 60.0),
+       width=st.floats(1e-3, 30.0))
+def test_find_root_monotone_property(shape, root, scale, sign, lo_off, width):
+    h = _SHAPES[shape]
+
+    def g(x):
+        return sign * h((x - root) / scale)
+
+    lo = root + lo_off
+    hi = lo + width
+    x = find_root(g, lo, hi, tol=1e-12)
+    assert abs(x - root) <= 1e-12 + 4.0 * 8.881784197001252e-16 * abs(root)
+    glo, ghi = g(lo), g(hi)
+    if glo != 0.0 and ghi != 0.0 and (glo < 0) != (ghi < 0):
+        # a guess that brackets the root goes to Brent unchanged
+        assert x == brentq(g, lo, hi, xtol=1e-12, rtol=8.881784197001252e-16)
+
+
+def test_find_root_nonconvergence_is_accuracy_error():
+    # Brent stalls on |x|^0.01 in 100 iterations: typed error, not RuntimeError
+    with pytest.raises(AccuracyError) as exc:
+        find_root(lambda x: math.copysign(abs(x) ** 0.01, x), -1.0, 1e300)
+    assert math.isfinite(exc.value.estimate)
+    assert exc.value.error_bound > 0
+
+
+def test_cli_import_leaves_scipy_integrate_out():
+    code = "import sys, pmean.cli; print('scipy.integrate' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True)
+    assert out.stdout.strip() == "False"
 
 
 def test_rng_stream_reproducible():
