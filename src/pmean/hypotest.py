@@ -69,11 +69,39 @@ def _abs_pmean_rows(pvs, az: np.ndarray) -> list:
         elif pv == -math.inf:
             out.append(az.min(axis=1))
         elif pv == 0.0:
-            with np.errstate(divide="ignore"):
-                out.append(np.exp(np.mean(np.log(az, out=buf), axis=1)))
+            out.append(_geometric_mean(az, buf))
         else:
             out.append(_root_mean(pv, d, *_power_sums(pv, az, buf)))
     return out
+
+
+# rows whose ln az_j all lie in [-16, 16] take e^(mean ln az) directly
+_LOG_SPAN = 16.0
+
+
+def _geometric_mean(az: np.ndarray, buf: np.ndarray) -> np.ndarray:
+    """e^(mean ln az) per row of the nonnegative 2-D array az; buf is scratch
+    of az's shape.  Taken directly, the result carries the rounding of each
+    ln az_j and of their mean, up to about eps max |ln az_j| relative.  Rows
+    with finite logs outside ``_LOG_SPAN`` are redone one at a time from
+    az_j = f_j 2^e_j: the sum of the e_j is exact, only ln f_j in [-ln 2, 0)
+    is rounded, and the mean e_j sum / d = q + r / d leaves 2^q to ``ldexp``.
+    A zero or infinite coordinate gives 0, inf or NaN either way."""
+    d = az.shape[1]
+    with np.errstate(divide="ignore"):
+        logs = np.log(az, out=buf)
+    gm = np.exp(np.mean(logs, axis=1))
+    lo, hi = logs.min(axis=1), logs.max(axis=1)
+    finite = (lo > -math.inf) & (hi < math.inf)
+    wide = np.flatnonzero(finite & ((lo < -_LOG_SPAN) | (hi > _LOG_SPAN)))
+    if wide.size:
+        e = np.empty(d, dtype=np.int32)
+        for i in wide:
+            # the logs in buf are spent, so buf[i] takes f
+            f, _ = np.frexp(az[i], out=(buf[i], e))
+            q, r = divmod(int(e.sum(dtype=np.int64)), d)
+            gm[i] = math.ldexp(math.exp(r / d * math.log(2.0) + np.log(f, out=f).sum() / d), q)
+    return gm
 
 
 def _root_mean(pv: float, d: int, m: np.ndarray, s: np.ndarray, slow: np.ndarray) -> np.ndarray:
