@@ -143,8 +143,9 @@ def find_root(g: Callable[[float], float], lo: float, hi: float, tol: float = 1e
     """Root of a monotone g, increasing or decreasing, by Brent's method from
     a first guess [lo, hi] that need not bracket it.  While g(lo) and g(hi)
     share a sign, the end with the smaller |g| (hi on a tie) doubles its
-    distance from the other end; after ``max_iter`` such moves BracketError.
-    A guess that already brackets the root goes to Brent unchanged."""
+    distance from the other end; after ``max_iter`` such moves, or as soon as
+    a widened end gives a g that is not finite, BracketError.  A guess that
+    already brackets the root goes to Brent unchanged."""
     if not (math.isfinite(lo) and math.isfinite(hi)) or lo >= hi:
         raise DomainError(f"invalid bracket [{lo}, {hi}]")
     glo, ghi = g(lo), g(hi)
@@ -156,10 +157,13 @@ def find_root(g: Callable[[float], float], lo: float, hi: float, tol: float = 1e
         moves += 1
         if abs(ghi) <= abs(glo):
             hi = lo + 2.0 * (hi - lo)
-            ghi = g(hi)
+            ghi = g_new = g(hi)
         else:
             lo = hi - 2.0 * (hi - lo)
-            glo = g(lo)
+            glo = g_new = g(lo)
+        if not math.isfinite(g_new):
+            raise BracketError(f"g is not finite at a widened end of [{lo}, {hi}]: "
+                               f"g(lo)={glo}, g(hi)={ghi}")
     # brentq returns an end where g is zero as it stands
     root, info = optimize.brentq(g, lo, hi, xtol=tol, rtol=8.881784197001252e-16,
                                  full_output=True, disp=False)

@@ -13,7 +13,7 @@ from pmean.are import (DirectionSequence,
                        classify_are, equalized_sequence, gamma_ratio, orlicz_norm,
                        r1, r2, r3, spike_sequence, verify_ap_bound)
 from pmean.hypotest import TestPlan, pmean, sample_size
-from pmean.numcore import DomainError
+from pmean.numcore import BracketError, DomainError
 
 
 def _r_tilde(i: int, p):
@@ -328,6 +328,12 @@ class TestAttaining:
             attaining_sequence(3.0, 0.5, 0.05, 0.95)   # below a_3
         with pytest.raises(DomainError):
             attaining_sequence(1.0, 1.5, 0.05, 0.95)   # above a_1
+
+    def test_unreachable_scale_is_bracket_error(self):
+        # the root lies near ln s = 230; widening past it overflows the ratio
+        # to NaN, which stops the search with a typed error
+        with pytest.raises(BracketError):
+            attaining_sequence(1.9, 1e-10, 0.05, 0.8)
 
 
 def test_spike_divergence_crosses_ten_past_2e6():

@@ -126,6 +126,16 @@ def test_find_root_widening_path():
     assert seen == [0.0, 1.0, 2.0, 4.0, 8.0]
     # a tie moves hi; a smaller |g| at lo moves lo
     assert find_root(lambda x: -x - 1.0, 0.0, 1.0) == -1.0
+    # a widened end where g is NaN stops the widening at once, naming the ends
+    seen.clear()
+
+    def g_nan(t):
+        seen.append(t)
+        return -1.0 / (1.0 + t) if t < 3.0 else math.nan
+
+    with pytest.raises(BracketError, match=r"\[0\.0, 4\.0\]"):
+        find_root(g_nan, 0.0, 1.0)
+    assert seen == [0.0, 1.0, 2.0, 4.0]
 
 
 # smooth g, strictly monotone in floating point over the range widening reaches
