@@ -75,33 +75,21 @@ def _abs_pmean_rows(pvs, az: np.ndarray) -> list:
     return out
 
 
-# rows whose ln az_j all lie in [-16, 16] take e^(mean ln az) directly
-_LOG_SPAN = 16.0
-
-
 def _geometric_mean(az: np.ndarray, buf: np.ndarray) -> np.ndarray:
     """e^(mean ln az) per row of the nonnegative 2-D array az; buf is scratch
-    of az's shape.  Taken directly, the result carries the rounding of each
-    ln az_j and of their mean, up to about eps max |ln az_j| relative.  Rows
-    with finite logs outside ``_LOG_SPAN`` are redone one at a time from
-    az_j = f_j 2^e_j: the sum of the e_j is exact, only ln f_j in [-ln 2, 0)
-    is rounded, and the mean e_j sum / d = q + r / d leaves 2^q to ``ldexp``.
-    A zero or infinite coordinate gives 0, inf or NaN either way."""
+    of az's shape.  From az_j = f_j 2^e_j, the sum of the e_j is exact and
+    only ln f_j in [-ln 2, 0) is rounded, so the result does not carry the
+    rounding of large |ln az_j| (about eps max |ln az_j| relative when taken
+    directly).  The mean e_j sum / d = q + r / d leaves 2^q to ``ldexp``.  A
+    zero or infinite coordinate gives 0, inf or NaN."""
     d = az.shape[1]
-    with np.errstate(divide="ignore"):
-        logs = np.log(az, out=buf)
-    gm = np.exp(np.mean(logs, axis=1))
-    lo, hi = logs.min(axis=1), logs.max(axis=1)
-    finite = (lo > -math.inf) & (hi < math.inf)
-    wide = np.flatnonzero(finite & ((lo < -_LOG_SPAN) | (hi > _LOG_SPAN)))
-    if wide.size:
-        e = np.empty(d, dtype=np.int32)
-        for i in wide:
-            # the logs in buf are spent, so buf[i] takes f
-            f, _ = np.frexp(az[i], out=(buf[i], e))
-            q, r = divmod(int(e.sum(dtype=np.int64)), d)
-            gm[i] = math.ldexp(math.exp(r / d * math.log(2.0) + np.log(f, out=f).sum() / d), q)
-    return gm
+    # |e_j| <= 1074 fits 16 bits, a quarter of az's memory
+    e = np.empty(az.shape, dtype=np.int16)
+    f, _ = np.frexp(az, out=(buf, e), casting="unsafe")
+    q, r = np.divmod(e.sum(axis=1, dtype=np.int64), d)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        s = np.log(f, out=f).sum(axis=1)
+    return np.ldexp(np.exp((r * math.log(2.0) + s) / d), q)
 
 
 def _root_mean(pv: float, d: int, m: np.ndarray, s: np.ndarray, slow: np.ndarray) -> np.ndarray:
