@@ -1,6 +1,6 @@
 """Foundational numerics: normal functions, the fixed tanh-sinh rule,
-Gaussian-expectation quadrature, one root finder, and reproducible
-counter-based RNG streams.
+Gaussian-expectation quadrature, one root finder (Brent's method, ported
+in-repo), and reproducible counter-based RNG streams.
 
 Everything here is deterministic and re-entrant.  RngStream instances are
 single-owner; parallel work gets independence from distinct stream indices,
@@ -15,7 +15,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy import optimize
 from scipy.special import ndtr, ndtri
 
 
@@ -164,13 +163,66 @@ def find_root(g: Callable[[float], float], lo: float, hi: float, tol: float = 1e
         if not math.isfinite(g_new):
             raise BracketError(f"g is not finite at a widened end of [{lo}, {hi}]: "
                                f"g(lo)={glo}, g(hi)={ghi}")
-    # brentq returns an end where g is zero as it stands
-    root, info = optimize.brentq(g, lo, hi, xtol=tol, rtol=8.881784197001252e-16,
-                                 full_output=True, disp=False)
-    if not info.converged:
-        raise AccuracyError(f"find_root: Brent's method did not converge on [{lo}, {hi}]",
-                            float(root), hi - lo)
-    return float(root)
+    return _brent(g, lo, hi, glo, ghi, tol)
+
+
+# Brent's stopping rule |x - root| <= xtol + rtol |x|: scipy's rtol floor 4 eps
+# and iteration budget.
+_BRENT_RTOL = 8.881784197001252e-16
+_BRENT_ITER = 100
+
+
+def _brent(g, lo, hi, glo, ghi, xtol):
+    """Brent's method (Brent 1973, ch. 4) on [lo, hi], where g(lo) = glo and
+    g(hi) = ghi differ in sign or one is zero: scipy's ``brentq.c`` operation
+    for operation, so the root has the same bits, without the import of
+    ``scipy.optimize`` (and its linalg, sparse and spatial) on every process.
+    An end where g is zero is returned as it stands; a NaN value of g raises
+    BracketError naming its x, and no convergence in 100 iterations
+    AccuracyError with the last one."""
+    xpre, xcur, fpre, fcur = float(lo), float(hi), float(glo), float(ghi)
+    for x, fx in ((xpre, fpre), (xcur, fcur)):
+        if math.isnan(fx):
+            raise BracketError(f"g is NaN at x={x!r} on the bracket [{lo}, {hi}]")
+    if fpre == 0.0:
+        return xpre
+    if fcur == 0.0:
+        return xcur
+    xblk = fblk = spre = scur = 0.0
+    for _ in range(_BRENT_ITER):
+        # x < 0 is C's signbit(x) for the nonzero, non-NaN values seen here
+        if fpre != 0.0 and fcur != 0.0 and (fpre < 0.0) != (fcur < 0.0):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (xtol + _BRENT_RTOL * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0.0 or abs(sbis) < delta:
+            return xcur
+        stry = math.nan   # NaN fails the short-step test below: bisect
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            try:
+                if xpre == xblk:   # interpolate
+                    stry = -fcur * (xcur - xpre) / (fcur - fpre)
+                else:              # extrapolate
+                    dpre = (fpre - fcur) / (xpre - xcur)
+                    dblk = (fblk - fcur) / (xblk - xcur)
+                    stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+            except ZeroDivisionError:   # C's quotient is inf or NaN, so it bisects
+                pass
+        if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
+            spre, scur = scur, stry
+        else:
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
+        fcur = float(g(xcur))
+        if math.isnan(fcur):
+            raise BracketError(f"g is NaN at x={xcur!r} on the bracket [{lo}, {hi}]")
+    raise AccuracyError(f"find_root: Brent's method did not converge on [{lo}, {hi}]",
+                        xcur, hi - lo)
 
 
 @dataclass(frozen=True)

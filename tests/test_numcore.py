@@ -165,19 +165,55 @@ def test_find_root_monotone_property(shape, root, scale, sign, lo_off, width):
         assert x == brentq(g, lo, hi, xtol=1e-12, rtol=8.881784197001252e-16)
 
 
+@settings(max_examples=300, deadline=None)
+@given(shape=st.sampled_from(range(len(_SHAPES))),
+       root=st.floats(-50.0, 50.0),
+       scale=st.floats(1e-3, 20.0),
+       sign=st.sampled_from((-1.0, 1.0)),
+       left=st.floats(1e-6, 60.0),
+       right=st.floats(1e-6, 60.0),
+       tol=st.sampled_from((1e-11, 1e-12, 1e-13)))
+def test_find_root_matches_brentq_bits(shape, root, scale, sign, left, right, tol):
+    # on a guess that brackets the root, the in-repo Brent takes scipy's steps
+    h = _SHAPES[shape]
+
+    def g(x):
+        return sign * h((x - root) / scale)
+
+    lo, hi = root - left, root + right
+    assert find_root(g, lo, hi, tol=tol) == brentq(g, lo, hi, xtol=tol,
+                                                   rtol=8.881784197001252e-16)
+
+
 def test_find_root_nonconvergence_is_accuracy_error():
-    # Brent stalls on |x|^0.01 in 100 iterations: typed error, not RuntimeError
+    # Brent stalls on |x|^0.01 in 100 iterations: typed error, not RuntimeError,
+    # carrying the same last iterate as scipy's brentq
+    g = lambda x: math.copysign(abs(x) ** 0.01, x)
     with pytest.raises(AccuracyError) as exc:
-        find_root(lambda x: math.copysign(abs(x) ** 0.01, x), -1.0, 1e300)
-    assert math.isfinite(exc.value.estimate)
+        find_root(g, -1.0, 1e300)
+    last, info = brentq(g, -1.0, 1e300, xtol=1e-12, rtol=8.881784197001252e-16,
+                        full_output=True, disp=False)
+    assert not info.converged
+    assert exc.value.estimate == last
     assert exc.value.error_bound > 0
 
 
-def test_cli_import_leaves_scipy_integrate_out():
-    code = "import sys, pmean.cli; print('scipy.integrate' in sys.modules)"
+def test_find_root_nan_in_brent_is_bracket_error():
+    # NaN at lo of a guess that brackets (NaN < 0 is False, so no widening)
+    with pytest.raises(BracketError, match=r"x=0\.0\b"):
+        find_root(lambda x: 0.5 - x if x > 0.0 else math.nan, 0.0, 1.0)
+    # NaN inside the bracket, where Brent's first secant step lands
+    with pytest.raises(BracketError, match=r"x=0\.5\b"):
+        find_root(lambda x: math.nan if 0.3 < x < 0.7 else x - 0.5, 0.0, 1.0)
+
+
+def test_cli_import_leaves_unused_scipy_out():
+    unused = ("scipy.integrate", "scipy.optimize", "scipy.linalg", "scipy.sparse",
+              "scipy.spatial", "scipy.fft")
+    code = f"import sys, pmean.cli; print([m for m in {unused!r} if m in sys.modules])"
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          check=True)
-    assert out.stdout.strip() == "False"
+    assert out.stdout.strip() == "[]"
 
 
 def test_rng_stream_reproducible():
