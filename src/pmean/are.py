@@ -24,7 +24,8 @@ import numpy as np
 from scipy.special import gammaln, ndtr
 
 from .moments import ExtendedP, lambda_p, regime_row
-from .numcore import GAUSS_TAIL_RADIUS, DomainError, find_root, normal_pdf, tanh_sinh
+from .numcore import (GAUSS_TAIL_RADIUS, AccuracyError, DomainError, find_root, normal_pdf,
+                      tanh_sinh)
 from .hypotest import pmean
 
 # psi'(1/2), psi''(1/2), psi'''(1/2) for the ln r Taylor branch at p = 0
@@ -365,6 +366,14 @@ def attaining_sequence(p: float, target: float, alpha: float, beta: float) -> Di
 # Exact finite-d ARE (d <= 3)
 # ---------------------------------------------------------------------------
 
+# Widest spacing of doubles at which _prob_rows integrates a window around a
+# shift s: the rule's nodes there are rounded to that spacing, which moved
+# the result by up to 0.03 times it (p in {-2, -1, -1/2}, d = 2, s from 8 to
+# 1.4e17, against a quad over the one unshifted coordinate); past 2^-36, where
+# s + GAUSS_TAIL_RADIUS >= 2^17, that error could pass 5e-13.
+_WINDOW_SPACING = 2.0 ** -36
+
+
 def _prob_rows(p: float, r: np.ndarray, v: np.ndarray) -> np.ndarray:
     """P(sum_j t(Z_j + v_j) <= r) for each remaining budget in r and shifts
     v >= 0, with t = |.|^p (ln|.| at p = 0) and >= in place of <= for p < 0.
@@ -387,6 +396,10 @@ def _prob_rows(p: float, r: np.ndarray, v: np.ndarray) -> np.ndarray:
     if len(v) == 1:
         return within
     lo, hi = max(0.0, s - GAUSS_TAIL_RADIUS), s + GAUSS_TAIL_RADIUS
+    if np.spacing(hi) > _WINDOW_SPACING:
+        raise AccuracyError(f"the window {float(s)!r} -+ {GAUSS_TAIL_RADIUS} is not resolved "
+                            "in doubles",
+                            math.nan, float(np.spacing(hi)))
     a = np.clip(edge, lo, hi) if p < 0.0 else np.full_like(r, lo)
     b = np.clip(edge, lo, hi) if p > 0.0 else np.full_like(r, hi)
     peak = np.clip(s, a, b)

@@ -4,7 +4,10 @@ shift scale, Schur-squared orderings, random-direction growth).
 
 Replications are partitioned into fixed-size chunks; chunk k always consumes
 the substream (seed, stream, k), and chunk results merge in index order, so
-results are bit-stable for any thread count.
+results are bit-stable for any thread count.  The chunks are that substream
+partition, fixed forever.  A chunk is drawn and reduced in blocks of
+BLOCK_ELEMS elements, and a block is only the unit of memory: each thread
+holds one block whatever the number of draws.
 """
 
 from __future__ import annotations
@@ -21,6 +24,9 @@ from .moments import ExtendedP, limit_law
 from .numcore import ConfigError, DomainError, RngStream
 
 Z95 = 1.959963984540054
+
+# elements per block of a chunk's draws (1 MB of doubles, sized for L2)
+BLOCK_ELEMS = 1 << 17
 
 
 @dataclass(frozen=True)
@@ -47,16 +53,27 @@ def _run_chunks(fn: Callable[[int, int], object], sizes: Sequence[int], threads:
 
 def _draw_chunks(rows: Callable[[np.ndarray], object], rng: RngStream, reps: int, d: int,
                  threads: int) -> list:
-    """rows(z) over reps standard normal rows of width d, in chunks of at most
-    2^22 elements (and 65536 rows); chunk i is drawn from rng.substream(i),
-    and the results come back in chunk order."""
+    """rows(z) over reps standard normal rows of width d.
+
+    The chunks are the substream partition, fixed forever: at most 2^22
+    elements (and 65536 rows) each, chunk i drawn from rng.substream(i).
+    Inside a chunk, the rows are drawn and reduced a block of BLOCK_ELEMS
+    elements at a time into one reused buffer; a block is only the unit of
+    memory, since the substream gives the same numbers drawn in pieces.
+    rows may overwrite its block but not return a view of it, since the next
+    block reuses the buffer.  The results come back flattened in (chunk,
+    block) order."""
     per = max(1, min(65536, (1 << 22) // max(d, 1)))
     sizes = [per] * (reps // per) + ([reps % per] if reps % per else [])
+    r = max(1, BLOCK_ELEMS // max(d, 1))
 
-    def one(i: int, m: int):
-        return rows(rng.substream(i).generator().standard_normal((m, d)))
+    def one(i: int, m: int) -> list:
+        g = rng.substream(i).generator()
+        buf = np.empty((min(r, m), d))
+        return [rows(g.standard_normal((k, d), out=buf[:k]))
+                for k in (min(r, m - j) for j in range(0, m, r))]
 
-    return _run_chunks(one, sizes, threads)
+    return [part for parts in _run_chunks(one, sizes, threads) for part in parts]
 
 
 def _check_reps(reps: int, floor: int = 1000, name: str = "reps") -> None:

@@ -13,7 +13,7 @@ from pmean.are import (DirectionSequence,
                        classify_are, equalized_sequence, gamma_ratio, orlicz_norm,
                        r1, r2, r3, spike_sequence, verify_ap_bound)
 from pmean.hypotest import TestPlan, pmean, sample_size
-from pmean.numcore import BracketError, DomainError
+from pmean.numcore import AccuracyError, BracketError, DomainError
 
 
 def _r_tilde(i: int, p):
@@ -277,6 +277,18 @@ class TestProbLe:
         for p in (-2.0, 0.0, 1.0, math.inf, -math.inf):
             assert _prob_le(p, np.zeros(3), 0.0) == 0.0
 
+    def test_unresolved_window_is_accuracy_error(self):
+        # near 1e16 the spacing of doubles is 2, so the rule's nodes in the
+        # window around the shift collapse: the result left [0, 1] (1.09 at
+        # 3e16) where the true value stays near P(|Z| <= c / sqrt 2), its
+        # limit as the shift grows (within 1e-8 at 1e4)
+        c = 1.3859
+        limit = 2.0 * stats.norm.cdf(c / math.sqrt(2.0)) - 1.0
+        assert abs(_prob_le(-2.0, np.array([1e4, 0.0]), c) - limit) < 1e-8
+        for t in (2.0 ** 17, 3e16):
+            with pytest.raises(AccuracyError, match="not resolved"):
+                _prob_le(-2.0, np.array([t, 0.0]), c)
+
 
 class TestAreFinite:
     def test_reference_values_d2(self):
@@ -302,6 +314,12 @@ class TestAreFinite:
         assert abs(are_finite(math.inf, 3, (1, 1, 1), 0.05, 0.95)
                    - are_finite(math.inf, 3, (0, math.sqrt(3), 0), 0.05, 0.95)) > 1e-3
         assert abs(are_finite(2.0, 3, (1, 1, 1), 0.05, 0.95) - 1.0) < 1e-7
+
+    def test_no_root_is_an_error(self):
+        # with a zero coordinate the power at p = -2 stays at 1 - 0.673 < beta
+        # for every scale, so there is no root; it used to print 4.6e-34
+        with pytest.raises((BracketError, AccuracyError)):
+            are_finite(-2.0, 2, [1, 0], 0.05, 0.8)
 
     def test_domain(self):
         with pytest.raises(DomainError):

@@ -9,6 +9,9 @@ switched off, so the corpus holds full-precision numbers:
   other value exactly;
 * seeded Monte Carlo entries compare stdout byte for byte.
 
+The entries of the simulating subcommands are recorded at ``--threads 1``
+and also replayed at ``--threads 2``, where they must print the same.
+
 Each entry is ``tests/golden/<name>.json``.  To rewrite the corpus after an
 intended, recorded output change, run
 
@@ -144,19 +147,43 @@ def assert_close(got, want, where="result"):
         assert got == want, f"{where}: {got!r} != {want!r}"
 
 
-@pytest.mark.parametrize("name", sorted(CASES))
-def test_golden(name):
+def check(kind, argv, code, stdout):
+    """Run argv and compare its exit code and stdout with the recorded ones."""
+    got_code, out = run_full_precision(argv)
+    assert got_code == code
+    if kind == "mc":
+        assert out == stdout
+    elif stdout:
+        assert_close(json.loads(out), json.loads(stdout))
+    else:
+        assert out == ""
+
+
+def load(name):
     kind, argv = CASES[name]
     want = json.loads((GOLDEN / f"{name}.json").read_text())
     assert want["argv"] == argv and want["kind"] == kind
-    code, out = run_full_precision(argv)
-    assert code == want["exit"]
-    if kind == "mc":
-        assert out == want["stdout"]
-    elif want["stdout"]:
-        assert_close(json.loads(out), json.loads(want["stdout"]))
-    else:
-        assert out == ""
+    return kind, argv, want
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_golden(name):
+    kind, argv, want = load(name)
+    check(kind, argv, want["exit"], want["stdout"])
+
+
+@pytest.mark.parametrize("name", sorted(k for k, (_, argv) in CASES.items()
+                                        if "--threads" in argv))
+def test_golden_two_threads(name):
+    """The entries recorded at --threads 1 print the same at --threads 2, but
+    for the thread count their config echoes."""
+    kind, argv, want = load(name)
+    assert argv[-2:] == ["--threads", "1"]
+    stdout = want["stdout"]
+    if stdout:
+        assert stdout.count('"threads": 1') == 1
+        stdout = stdout.replace('"threads": 1', '"threads": 2')
+    check(kind, argv[:-1] + ["2"], want["exit"], stdout)
 
 
 def capture(names):

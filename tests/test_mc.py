@@ -1,13 +1,16 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from scipy.special import ndtr
 
+from pmean import mc
 from pmean.hypotest import critical_value, pmean_rows
-from pmean.mc import (_stat_rows_multi, empirical_critval, empirical_critval_multi,
-                      empirical_power, empirical_size_multi, ks_distance, limit_law_ks,
-                      majorizes_squares, random_direction_check, schur2_check)
+from pmean.mc import (BLOCK_ELEMS, _exceedances, _stat_rows_multi, empirical_critval,
+                      empirical_critval_multi, empirical_power, empirical_size_multi,
+                      ks_distance, limit_law_ks, majorizes_squares, random_direction_check,
+                      schur2_check)
 from pmean.moments import ExtendedP
 from pmean.numcore import ConfigError, DomainError, RngStream
 
@@ -242,3 +245,84 @@ WIDE_D, WIDE_REPS = 1000, 10_001
 def test_thread_count_invariant(pair):
     _, run = pair
     assert run(1) == run(2)
+
+
+# ---------------------------------------------------------------------------
+# Blocks: a chunk drawn and reduced a block at a time gives the bits of the
+# chunk drawn whole
+# ---------------------------------------------------------------------------
+
+def _whole_chunks(rows, rng, reps, d, threads):
+    """The substream partition of ``mc._draw_chunks``, each chunk drawn as one
+    (m, d) array on the calling thread: chunk i holds up to
+    min(65536, 2^22 // d) rows from rng.substream(i)."""
+    per = min(65536, (1 << 22) // d)
+    return [rows(rng.substream(i).generator().standard_normal((min(per, reps - start), d)))
+            for i, start in enumerate(range(0, reps, per))]
+
+
+def _partial_reps(d):
+    """reps at width d that end in a partial chunk of one full block and a
+    partial one (at d <= 2 a block is a whole chunk, so the chunk is partial)."""
+    per = min(65536, (1 << 22) // d)
+    r = min(per, BLOCK_ELEMS // d)
+    return per + r + r // 2 + 1
+
+
+ALL_PS = [-math.inf, -2.0, -0.5, 0.0, 1.0, 2.0, 3.0, math.inf]
+
+
+@pytest.mark.parametrize("d", [1, 2, 10, 131, 1000])
+def test_blocks_match_whole_chunks(d, monkeypatch):
+    reps = _partial_reps(d)
+    eps = [ExtendedP.of(p) for p in ALL_PS]
+    shift = np.linspace(0.05, 0.4, d)
+
+    def run(threads):
+        cvs = empirical_critval_multi(ALL_PS, d, 0.05, reps, RngStream(91, d), threads=threads)
+        crits = [cvs[p].estimate for p in ALL_PS]
+        # the shift is added in place into the block
+        counts = [_exceedances(eps, crits, s, d, reps, RngStream(92, d), threads).tolist()
+                  for s in (None, shift)]
+        fits = [limit_law_ks(p, d, reps, RngStream(93, d), threads=threads)
+                for p in (-math.inf, 0.0, 3.0, math.inf)]
+        return cvs, counts, fits
+
+    def draws(draw, threads):
+        # every row in order, through a few of its columns
+        return np.concatenate(draw(lambda z: z[:, ::max(1, d // 7)].copy(), RngStream(95, d),
+                                   reps, d, threads))
+
+    whole_draws = draws(_whole_chunks, 1)
+    assert whole_draws.shape[0] == reps
+    for threads in (1, 2):
+        assert np.array_equal(draws(mc._draw_chunks, threads), whole_draws)
+    blocked = [run(1), run(2)]
+    monkeypatch.setattr(mc, "_draw_chunks", _whole_chunks)
+    whole = run(1)
+    assert blocked[0] == whole
+    assert blocked[1] == whole
+
+
+def test_random_direction_blocks_match_whole_chunks(monkeypatch):
+    # at d = 1000 the reps end in a partial chunk, at d = 131 in a partial block
+    args = (4.0, [1, 2, 10, 131, 1000], _partial_reps(1000), RngStream(94, 0))
+    blocked = random_direction_check(*args)
+    monkeypatch.setattr(mc, "_draw_chunks", _whole_chunks)
+    assert blocked == random_direction_check(*args)
+
+
+def test_peak_allocation_is_a_few_blocks():
+    # Each of the two threads holds one block of BLOCK_ELEMS doubles (1 MiB),
+    # the row kernel's scratch of the same size and, at p = 0, its int16
+    # exponents (a quarter of that): about 4.6 MiB in all with the pool and
+    # the 8388 results.  8 MB leaves room for allocator noise and stays far
+    # below one whole 2^22-element chunk (32 MiB) in flight: drawn whole, the
+    # chunks of this call peaked at 144 MiB.
+    tracemalloc.start()
+    try:
+        empirical_critval(0.0, 1000, 0.05, 8388, RngStream(7, 3), threads=2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8_000_000, peak
