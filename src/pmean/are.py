@@ -17,15 +17,16 @@ a Taylor branch of ln r around the removable point p = 0).
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
-from scipy.special import gammaln, ndtr
 
+from . import special as sf
 from .moments import ExtendedP, lambda_p, regime_row
-from .numcore import (GAUSS_TAIL_RADIUS, AccuracyError, DomainError, find_root, normal_pdf,
-                      tanh_sinh)
+from .numcore import (GAUSS_TAIL_RADIUS, AccuracyError, BracketError, DomainError, find_root,
+                      normal_pdf, tanh_sinh)
 from .hypotest import pmean
 
 # psi'(1/2), psi''(1/2), psi'''(1/2) for the ln r Taylor branch at p = 0
@@ -41,7 +42,7 @@ class IndeterminateGrowthError(RuntimeError):
 def _ln_r(p) -> np.ndarray:
     """ln r(p), by its Taylor series around the removable point p = 0."""
     p = np.asarray(p, dtype=float)
-    lnr = gammaln(0.5) + gammaln(p + 0.5) - 2.0 * gammaln((p + 1.0) / 2.0)
+    lnr = sf.gammaln(0.5) + sf.gammaln(p + 0.5) - 2.0 * sf.gammaln((p + 1.0) / 2.0)
     small = np.abs(p) < 1e-3
     if np.any(small):
         ps = np.where(small, p, 0.0)
@@ -331,6 +332,9 @@ def classify_are(p, useq: DirectionSequence, alpha: float, beta: float) -> AREVe
                       f"||u||_{{p,2}} of order d^(1/4) (slope {slope:+.4f}); ARE in (0, a_p]")
 
 
+_LOG_DBL_MAX = math.log(sys.float_info.max)
+
+
 def attaining_sequence(p: float, target: float, alpha: float, beta: float) -> DirectionSequence:
     """Block direction sequence whose ARE converges to ``target``: k(d) blocks of
     equal coordinates sized so the block shift solves the sufficient-shift
@@ -344,14 +348,26 @@ def attaining_sequence(p: float, target: float, alpha: float, beta: float) -> Di
                           f"({lo_val}, {hi_val}) for p={p}")
     rowp = regime_row(p, alpha, 2)
     K2, Kp = regime_row(2.0, alpha, 2).K(beta), rowp.K(beta)
+    log_target = math.log(target * Kp / K2)
+
+    def f_at(log_s):
+        # past the largest double, s = inf and f_p takes its limit
+        return float(rowp.f(math.exp(log_s) if log_s < _LOG_DBL_MAX else math.inf))
 
     def gap(log_s):
-        s = math.exp(log_s)
-        return K2 * float(rowp.f(s)) / (Kp * s * s) - target
+        # ln(K2 f_p(s) / (Kp s^2 target)): f_p(s) and s^2 overflow (from ln s of
+        # about 709/p and 355) where the ratio is still a double; where f_p(s)
+        # overflows it is s^p to a relative p^2/s^2
+        f = f_at(log_s)
+        if f == math.inf:
+            log_f = p * log_s
+        else:   # f rounds to 0 at scales too small to resolve it
+            log_f = math.log(f) if f > 0.0 else -math.inf
+        return log_f - 2.0 * log_s - log_target
 
     # the ratio runs from a_p at s -> 0 monotonically to 0 (p < 2) or to
     # infinity (p > 2)
-    f_star = float(rowp.f(math.exp(find_root(gap, math.log(1e-3), 0.0, tol=1e-12))))
+    f_star = f_at(find_root(gap, math.log(1e-3), 0.0, tol=1e-12))
 
     def gen(d):
         k = max(1, min(d, int(round(Kp * math.sqrt(d) / f_star))))
@@ -392,7 +408,7 @@ def _prob_rows(p: float, r: np.ndarray, v: np.ndarray) -> np.ndarray:
         t_inv = lambda b: np.maximum(b, 0.0) ** (1.0 / p)
     edge = t_inv(r)                # the budget edge: t(edge) = r
     s = v[0]
-    within = ndtr(edge - s) - ndtr(-edge - s)    # P(|Z + s| <= edge)
+    within = sf.ndtr(edge - s) - sf.ndtr(-edge - s)    # P(|Z + s| <= edge)
     if len(v) == 1:
         return within
     lo, hi = max(0.0, s - GAUSS_TAIL_RADIUS), s + GAUSS_TAIL_RADIUS
@@ -422,9 +438,9 @@ def _prob_le(p: float, v: np.ndarray, c: float) -> float:
     v = np.asarray(v, dtype=float)
     pv = float(ExtendedP.of(p).value)
     if pv == math.inf:
-        return float(np.prod(ndtr(c - v) - ndtr(-c - v)))
+        return float(np.prod(sf.ndtr(c - v) - sf.ndtr(-c - v)))
     if pv == -math.inf:
-        return 1.0 - float(np.prod(1.0 - (ndtr(c - v) - ndtr(-c - v))))
+        return 1.0 - float(np.prod(1.0 - (sf.ndtr(c - v) - sf.ndtr(-c - v))))
     if len(v) not in (1, 2, 3):
         raise DomainError(f"finite-d ARE quadrature supports d in {{1,2,3}}, got {len(v)}")
     # largest shift outermost: the last coordinate's probability then turns
@@ -442,7 +458,8 @@ def _prob_le(p: float, v: np.ndarray, c: float) -> float:
 def are_finite(p, d: int, u, alpha: float, beta: float) -> float:
     """Exact finite-d ARE of the p-mean test vs the 2-mean test in the
     continuous-sample-size Gaussian model: t_2^2 / t_p^2 where t_r solves
-    P(<Z + t u>_r > c_r) = beta at the exact size-alpha critical value c_r."""
+    P(<Z + t u>_r > c_r) = beta at the exact size-alpha critical value c_r.
+    BracketError when the power stays below beta at every scale t."""
     if d not in (1, 2, 3):
         raise DomainError(f"are_finite supports d in {{1, 2, 3}}, got {d}")
     if not (0.0 < alpha < beta < 1.0):
@@ -454,12 +471,22 @@ def are_finite(p, d: int, u, alpha: float, beta: float) -> float:
     if norm == 0.0:
         raise DomainError("u must be nonzero")
     u = u / norm
+    m = int(np.count_nonzero(u == 0.0))   # u's zero coordinates
 
     def solve_for(pp):
         def size_gap(c):
             return (1.0 - _prob_le(pp, np.zeros(d), c)) - alpha
 
         c = find_root(size_gap, 0.0, 1.0, tol=1e-13)
+        if pp < 0.0 and m:
+            # as t grows, |Z_j + t u_j|^p -> 0 off u's m zero coordinates, so the
+            # power tends to P(<Z>_p > c (d/m)^{1/p}) over those m alone
+            limit = 1.0 - _prob_le(pp, np.zeros(m), c * (d / m) ** (1.0 / pp))
+            if limit <= beta:
+                raise BracketError(
+                    f"the power equation has no root: at p={pp:g} the power tends to "
+                    f"{limit:.6g} <= beta={beta} as the scale grows, held there by the "
+                    f"{m} zero coordinate(s) of u")
 
         def power_gap(t):
             return (1.0 - _prob_le(pp, t * u, c)) - beta

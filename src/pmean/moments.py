@@ -25,8 +25,8 @@ from functools import lru_cache
 from typing import Callable
 
 import numpy as np
-from scipy.special import erf, exp1, gammaln, hyp1f1, log_ndtr, ndtr, ndtri
 
+from . import special as sf
 from .numcore import (GAUSS_TAIL_RADIUS, SQRT_2PI, DomainError, by_blocks, gauss_expect,
                       normal_pdf, tanh_sinh)
 from .stable import EULER_GAMMA, StableLaw, stable_cdf, stable_quantile
@@ -107,7 +107,7 @@ def lambda_p_zero(p: float) -> float:
     """Closed form lambda_p(0) = 2^{p/2} Gamma((p+1)/2) / sqrt(pi), p > -1."""
     if p <= -1.0:
         raise DomainError(f"lambda_p(0) requires p > -1, got {p}")
-    return math.exp(0.5 * p * math.log(2.0) + gammaln(0.5 * (p + 1.0)) - 0.5 * math.log(math.pi))
+    return math.exp(0.5 * p * math.log(2.0) + sf.gammaln(0.5 * (p + 1.0)) - 0.5 * math.log(math.pi))
 
 
 # E ln|Z| and Var ln|Z|
@@ -128,7 +128,7 @@ def _lambda_p_batch(p: float, s) -> np.ndarray:
     s = np.abs(np.asarray(s, dtype=float))
     out = np.empty(s.shape)
     near = s <= _LAMBDA_ASYMPTOTIC
-    out[near] = lambda_p_zero(p) * hyp1f1(-0.5 * p, 0.5, -0.5 * np.square(s[near]))
+    out[near] = lambda_p_zero(p) * sf.hyp1f1(-0.5 * p, 0.5, -0.5 * np.square(s[near]))
     far = s[~near]
     with np.errstate(over="ignore"):
         out[~near] = np.power(far, p) * (1.0 + 0.5 * p * (p - 1.0) / far / far)
@@ -183,7 +183,7 @@ def _mu_tilde_batch(d: int, s) -> np.ndarray:
 
     out = _gauss_rule(s, near, lambda c: _z_rule(lambda z: np.minimum(1.0 / (c + z), d), c))
     # at s = 0: d erf(1 / (d sqrt 2)) + E_1(1 / (2 d^2)) / sqrt(2 pi)
-    out[s == 0.0] = d * erf(1.0 / (d * math.sqrt(2.0))) + exp1(0.5 / d / d) / SQRT_2PI
+    out[s == 0.0] = d * sf.erf(1.0 / (d * math.sqrt(2.0))) + sf.exp1(0.5 / d / d) / SQRT_2PI
     return out
 
 
@@ -276,8 +276,8 @@ def c_crit_inf(d: int, alpha: float) -> float:
 def _log_prob_abs_le(c: float, s):
     """ln P(|Z+s| <= c) elementwise, stable far into the tails."""
     s = np.abs(s)
-    hi = log_ndtr(c - s)
-    lo = log_ndtr(-c - s)
+    hi = sf.log_ndtr(c - s)
+    lo = sf.log_ndtr(-c - s)
     # ln(e^hi - e^lo)
     return hi + np.log1p(-np.exp(np.minimum(lo - hi, -1e-300)))
 
@@ -319,7 +319,7 @@ class LimitLaw:
 
 
 def _normal_law(name: str, center: float, scale: float) -> LimitLaw:
-    return LimitLaw(name, ndtr, lambda q: float(ndtri(q)), center, scale)
+    return LimitLaw(name, sf.ndtr, lambda q: float(sf.ndtri(q)), center, scale)
 
 
 def _stable_law(p: float, center: float, scale: float) -> LimitLaw:
@@ -347,8 +347,8 @@ def _clt_law(p: float, d: int) -> LimitLaw:
 _LAWS = {
     Regime.NEG_INF: lambda p, d: LimitLaw(
         "exact extreme-value (min)",
-        lambda x: 1.0 - np.power(np.clip(2.0 * (1.0 - ndtr(x)), 0.0, 1.0), d),
-        lambda q: -float(ndtri((1.0 - q) ** (1.0 / d) / 2.0))),
+        lambda x: 1.0 - np.power(np.clip(2.0 * (1.0 - sf.ndtr(x)), 0.0, 1.0), d),
+        lambda q: -float(sf.ndtri((1.0 - q) ** (1.0 / d) / 2.0))),
     Regime.BELOW_NEG_ONE: lambda p, d: _stable_law(p, 0.0, d ** abs(p)),
     Regime.NEG_ONE: lambda p, d: _stable_law(p, mu_tilde(d, 0.0), float(d)),
     Regime.NEG_ONE_TO_NEG_HALF: lambda p, d: _stable_law(p, lambda_p_zero(p), d ** abs(p)),
@@ -359,8 +359,8 @@ _LAWS = {
     Regime.ZERO_TO_INF: _clt_law,
     Regime.POS_INF: lambda p, d: LimitLaw(
         "exact extreme-value (max)",
-        lambda x: np.power(np.clip(2.0 * ndtr(x) - 1.0, 0.0, 1.0), d),
-        lambda q: float(ndtri((1.0 + q ** (1.0 / d)) / 2.0))),
+        lambda x: np.power(np.clip(2.0 * sf.ndtr(x) - 1.0, 0.0, 1.0), d),
+        lambda q: float(sf.ndtri((1.0 + q ** (1.0 / d)) / 2.0))),
 }
 
 

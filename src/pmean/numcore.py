@@ -15,7 +15,8 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.special import ndtr, ndtri
+
+from . import special as sf
 
 
 class DomainError(ValueError):
@@ -58,7 +59,7 @@ def normal_pdf(x):
 
 def normal_cdf(x):
     """Standard normal distribution function Phi(x)."""
-    out = ndtr(np.asarray(x, dtype=float))
+    out = sf.ndtr(np.asarray(x, dtype=float))
     return float(out) if np.ndim(out) == 0 else out
 
 
@@ -66,7 +67,7 @@ def normal_quantile(q: float) -> float:
     """Inverse of Phi on (0, 1)."""
     if not 0.0 < q < 1.0:
         raise DomainError(f"normal_quantile requires q in (0,1), got {q}")
-    return float(ndtri(q))
+    return float(sf.ndtri(q))
 
 
 # Absolute and relative tolerance, and subdivision budget, of gauss_expect.

@@ -33,8 +33,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.special import gamma as _gamma_fn
 
+from . import special as sf
 from .numcore import (TS_FL, TS_FR, TS_WEIGHTS, DomainError, RngStream, by_blocks, find_root,
                       tanh_sinh_fractions)
 
@@ -88,7 +88,7 @@ class _Exponent:
 def _law_exponent(law: StableLaw) -> _Exponent:
     a = law.alpha
     if a != 1.0:
-        return _Exponent(a, CPLUS * _gamma_fn(1.0 - a), law.b + CPLUS * a / (a - 1.0))
+        return _Exponent(a, CPLUS * sf.gamma(1.0 - a), law.b + CPLUS * a / (a - 1.0))
     return _Exponent(1.0, CPLUS * math.pi / 2.0, law.b + CPLUS * (1.0 - EULER_GAMMA))
 
 

@@ -321,6 +321,23 @@ class TestAreFinite:
         with pytest.raises((BracketError, AccuracyError)):
             are_finite(-2.0, 2, [1, 0], 0.05, 0.8)
 
+    @pytest.mark.parametrize("p, u, limit", [
+        (-2.0, [1, 0], 0.327095),
+        (-math.inf, [1, 0, 0], 0.135721),
+        (-3.0, [0, 2, 0], 0.164798),
+    ])
+    def test_power_limit_below_beta_is_bracket_error(self, p, u, limit):
+        # off u's zero coordinates |Z_j + t u_j|^p -> 0 as t grows, so the power
+        # tends to the m-coordinate test at c (d/m)^{1/p}; the limits match
+        # 1 - _prob_le at t = 1e4 to 3e-9
+        with pytest.raises(BracketError, match=f"tends to {limit} <= beta=0.8"):
+            are_finite(p, len(u), u, 0.05, 0.8)
+
+    def test_power_limit_above_beta_still_solves(self):
+        # the same direction at beta = 0.3, under its power limit 0.327
+        v = are_finite(-2.0, 2, [1, 0], 0.05, 0.3)
+        assert math.isfinite(v) and v > 0.0
+
     def test_domain(self):
         with pytest.raises(DomainError):
             are_finite(1.0, 4, (1, 1, 1, 1), 0.05, 0.95)
@@ -348,10 +365,18 @@ class TestAttaining:
             attaining_sequence(1.0, 1.5, 0.05, 0.95)   # above a_1
 
     def test_unreachable_scale_is_bracket_error(self):
-        # the root lies near ln s = 230; widening past it overflows the ratio
-        # to NaN, which stops the search with a typed error
+        # the root lies below ln s = -27, where f_p(s) = lambda_0 - lambda_p(s)
+        # rounds to 0: the widening meets ln 0 and stops with a typed error
         with pytest.raises(BracketError):
-            attaining_sequence(1.9, 1e-10, 0.05, 0.8)
+            attaining_sequence(-0.25, a_p(-0.25) * (1.0 - 1e-13), 0.05, 0.8)
+
+    @pytest.mark.parametrize("p, target", [(1.9, 1e-10), (1.9, 1e-100), (3.0, 1e200)])
+    def test_scale_past_overflow(self, p, target):
+        # the roots lie near ln s = 230, 2300 and 460, where f_p(s) ~ s^p is
+        # past the doubles or s^2 overflows while the ratio is a double; p = 1.9
+        # at 1e-10 raised BracketError on a NaN ratio at ln s = 435
+        u = attaining_sequence(p, target, 0.05, 0.8).probe(1000)
+        assert np.count_nonzero(u) == 1 and u[0] == math.sqrt(1000)
 
 
 def test_spike_divergence_crosses_ten_past_2e6():

@@ -252,6 +252,15 @@ class TestContracts:
         assert captured.out == ""
         assert "sqrt(d ln d) vanishes at d=1" in captured.err
 
+    def test_are_finite_no_root_exit_2(self, capsys):
+        # u's zero coordinate holds the p = -2 power at 1 - 0.673 < beta at
+        # every scale; this used to exit 4 naming an unresolved window
+        assert run(["are-finite", "--p", "-2", "--d", "2", "--u", "1,0",
+                    "--alpha", "0.05", "--beta", "0.8"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "no root" in captured.err and "0.327095 <= beta=0.8" in captured.err
+
     @pytest.mark.parametrize("argv, flag, value", [
         (["critval", "--p", "2", "--alpha", "0.05"], "d", "1e2"),
         (["critval", "--p", "3", "--d", "10", "--alpha", "0.05", "--method", "mc",

@@ -1,13 +1,18 @@
 import math
+import re
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.special
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import brentq
 
+import pmean
+from pmean import special as sf
 from pmean.numcore import (AccuracyError, BracketError, DomainError, RngStream,
                            find_root, gauss_expect, normal_cdf, normal_pdf,
                            normal_quantile)
@@ -208,12 +213,42 @@ def test_find_root_nan_in_brent_is_bracket_error():
 
 
 def test_cli_import_leaves_unused_scipy_out():
-    unused = ("scipy.integrate", "scipy.optimize", "scipy.linalg", "scipy.sparse",
-              "scipy.spatial", "scipy.fft")
-    code = f"import sys, pmean.cli; print([m for m in {unused!r} if m in sys.modules])"
+    # scipy.special loads on first use, so the import loads no scipy module at
+    # all: none of integrate, optimize, linalg, sparse, spatial, fft or special
+    code = ("import sys, pmean.cli; "
+            "print([m for m in sys.modules if m.split('.')[0] == 'scipy'])")
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          check=True)
     assert out.stdout.strip() == "[]"
+
+
+@pytest.mark.parametrize("argv, loads", [
+    (["version"], False),
+    (["are", "--p", "3", "--alpha", "0.05", "--beta", "0.8", "--useq", "spike"], False),
+    (["simulate", "--p", "3", "--d", "100", "--alpha", "0.05", "--reps", "2000", "--seed", "5",
+      "--shift", "equalized:0.3"], False),
+    (["schur2-check", "--p", "1", "--d", "2", "--c", "1.5", "--v", "1.4142135623730951,0",
+      "--w", "1,1", "--reps", "2000", "--seed", "9"], False),
+    (["critval", "--p", "3", "--d", "1000", "--alpha", "0.05"], True),
+])
+def test_cli_commands_load_scipy_special_on_first_use(argv, loads):
+    code = ("import sys, pmean.cli; code = pmean.cli.run(sys.argv[1:]); "
+            "print(code, 'scipy.special' in sys.modules, file=sys.stderr)")
+    out = subprocess.run([sys.executable, "-c", code, *argv], capture_output=True,
+                         text=True, check=True)
+    assert out.stderr.split() == ["0", str(loads)]
+
+
+def test_special_names_are_scipy_objects():
+    names = set()
+    for path in Path(pmean.__file__).parent.glob("*.py"):
+        names.update(re.findall(r"\bsf\.(\w+)", path.read_text()))
+    assert {"ndtr", "ndtri", "gammaln", "gamma"} <= names
+    for name in sorted(names):
+        assert getattr(sf, name) is getattr(scipy.special, name)
+        assert vars(sf)[name] is getattr(scipy.special, name)   # cached after first use
+    with pytest.raises(AttributeError, match="no_such_function"):
+        sf.no_such_function
 
 
 def test_rng_stream_reproducible():
