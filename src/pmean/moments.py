@@ -118,6 +118,8 @@ LOG_VAR_ZERO = math.pi ** 2 / 8.0
 # series of 1F1 to double precision while s^p is finite; hyp1f1 loses -s^2/2
 # to overflow past s ~ 1.3e154
 _LAMBDA_ASYMPTOTIC = 1e8
+# below this |s|, lambda_p(s) - lambda_p(0) is summed as a series in s^2
+_LAMBDA_SERIES = 1.0
 # the u = ln|y| rule of E ln|Z+s| starts here: Int_{-inf}^{U} |u| e^u phi(0) du < 1e-17
 _LOG_U_MIN = -42.0
 
@@ -132,6 +134,21 @@ def _lambda_p_batch(p: float, s) -> np.ndarray:
     far = s[~near]
     with np.errstate(over="ignore"):
         out[~near] = np.power(far, p) * (1.0 + 0.5 * p * (p - 1.0) / far / far)
+    return out
+
+
+def _lambda_p_rise(p: float, s) -> np.ndarray:
+    """lambda_p(s) - lambda_p(0) elementwise, p > -1; below _LAMBDA_SERIES as
+    lambda_p(0) Sum_{k=1}^{40} (-p/2)_k / ((1/2)_k k!) (-s^2/2)^k, relative as
+    s -> 0, where the difference of the two moments loses eps / (|p| s^2)."""
+    s = np.abs(np.asarray(s, dtype=float))
+    small = s < _LAMBDA_SERIES
+    out = np.empty(s.shape)
+    out[~small] = _lambda_p_batch(p, s[~small]) - lambda_p_zero(p)
+    if small.any():
+        j = np.arange(40.0)
+        coef = np.cumprod((j - 0.5 * p) / ((j + 0.5) * (j + 1.0)))
+        out[small] = lambda_p_zero(p) * (np.power.outer(-0.5 * np.square(s[small]), j + 1.0) @ coef)
     return out
 
 
@@ -319,7 +336,8 @@ class LimitLaw:
 
 
 def _normal_law(name: str, center: float, scale: float) -> LimitLaw:
-    return LimitLaw(name, sf.ndtr, lambda q: float(sf.ndtri(q)), center, scale)
+    # sf.ndtr is looked up at the first call: a critical value never loads scipy
+    return LimitLaw(name, lambda x: sf.ndtr(x), sf.ndtri, center, scale)
 
 
 def _stable_law(p: float, center: float, scale: float) -> LimitLaw:
@@ -348,7 +366,7 @@ _LAWS = {
     Regime.NEG_INF: lambda p, d: LimitLaw(
         "exact extreme-value (min)",
         lambda x: 1.0 - np.power(np.clip(2.0 * (1.0 - sf.ndtr(x)), 0.0, 1.0), d),
-        lambda q: -float(sf.ndtri((1.0 - q) ** (1.0 / d) / 2.0))),
+        lambda q: -sf.ndtri((1.0 - q) ** (1.0 / d) / 2.0)),
     Regime.BELOW_NEG_ONE: lambda p, d: _stable_law(p, 0.0, d ** abs(p)),
     Regime.NEG_ONE: lambda p, d: _stable_law(p, mu_tilde(d, 0.0), float(d)),
     Regime.NEG_ONE_TO_NEG_HALF: lambda p, d: _stable_law(p, lambda_p_zero(p), d ** abs(p)),
@@ -360,7 +378,7 @@ _LAWS = {
     Regime.POS_INF: lambda p, d: LimitLaw(
         "exact extreme-value (max)",
         lambda x: np.power(np.clip(2.0 * sf.ndtr(x) - 1.0, 0.0, 1.0), d),
-        lambda q: float(sf.ndtri((1.0 + q ** (1.0 / d)) / 2.0))),
+        lambda q: sf.ndtri((1.0 + q ** (1.0 / d)) / 2.0)),
 }
 
 
@@ -459,21 +477,19 @@ def _row_below_neg_one(p, d, alpha, law):
                 critical=_sum_critical(p, d, alpha, law), f_at_zero=1.0, f_at_inf=0.0)
 
 
-def _bounded(p, d, alpha, law, kappa, moment, sigma):
-    """Rows p in [-1, 0): f = m(0) - m(s) for the row's batched shift moment m,
-    rising from 0 to its bound m(0) = law.center; sigma = law.scale / kappa(d)."""
-    top = law.center
-    return dict(f=lambda s: top - moment(s), kappa=kappa,
-                critical=_sum_critical(p, d, alpha, law), f_at_inf=top,
+def _bounded(p, d, alpha, law, kappa, rise, sigma):
+    """Rows p in [-1, 0): f = m(0) - m(s) = -rise(s) for the row's batched shift
+    moment m, rising to its bound m(0) = law.center; sigma = law.scale / kappa(d)."""
+    return dict(f=lambda s: 0.0 - rise(s), kappa=kappa,     # +0, not -0, at s = 0
+                critical=_sum_critical(p, d, alpha, law), f_at_inf=law.center,
                 **_additive(law, sigma, alpha))
 
 
-def _unbounded(p, d, alpha, law, moment):
-    """Rows p in [0, inf): f = m(s) - m(0) for the row's batched shift moment m,
-    unbounded, with the CLT rate sqrt(d)."""
-    base = law.center
-    f = np.square if p == 2.0 else lambda s: moment(s) - base
-    return dict(f=f, kappa=math.sqrt, critical=_sum_critical(p, d, alpha, law),
+def _unbounded(p, d, alpha, law, rise):
+    """Rows p in [0, inf): f = m(s) - m(0) = rise(s) for the row's batched shift
+    moment m, unbounded, with the CLT rate sqrt(d)."""
+    return dict(f=np.square if p == 2.0 else rise, kappa=math.sqrt,
+                critical=_sum_critical(p, d, alpha, law),
                 **_additive(law, law.scale / math.sqrt(d), alpha))
 
 
@@ -494,17 +510,18 @@ _ROWS = {
     Regime.NEG_INF: _row_neg_inf,
     Regime.BELOW_NEG_ONE: _row_below_neg_one,
     Regime.NEG_ONE: lambda p, d, a, law: _bounded(
-        p, d, a, law, float, lambda s: _mu_tilde_batch(d, s), 1.0),
+        p, d, a, law, float, lambda s: _mu_tilde_batch(d, s) - law.center, 1.0),
     Regime.NEG_ONE_TO_NEG_HALF: lambda p, d, a, law: _bounded(
-        p, d, a, law, lambda dd: float(dd) ** abs(p), lambda s: _lambda_p_batch(p, s), 1.0),
+        p, d, a, law, lambda dd: float(dd) ** abs(p), lambda s: _lambda_p_rise(p, s), 1.0),
     Regime.NEG_HALF: lambda p, d, a, law: _bounded(
         p, d, a, law, lambda dd: math.sqrt(dd * math.log(dd)),
-        lambda s: _lambda_p_batch(p, s), _NEG_HALF_SIGMA),
+        lambda s: _lambda_p_rise(p, s), _NEG_HALF_SIGMA),
     Regime.NEG_HALF_TO_ZERO: lambda p, d, a, law: _bounded(
-        p, d, a, law, math.sqrt, lambda s: _lambda_p_batch(p, s), law.scale / math.sqrt(d)),
-    Regime.ZERO: lambda p, d, a, law: _unbounded(p, d, a, law, _log_mean_batch),
+        p, d, a, law, math.sqrt, lambda s: _lambda_p_rise(p, s), law.scale / math.sqrt(d)),
+    Regime.ZERO: lambda p, d, a, law: _unbounded(
+        p, d, a, law, lambda s: _log_mean_batch(s) - law.center),
     Regime.ZERO_TO_INF: lambda p, d, a, law: _unbounded(
-        p, d, a, law, lambda s: _lambda_p_batch(p, s)),
+        p, d, a, law, lambda s: _lambda_p_rise(p, s)),
     Regime.POS_INF: _row_pos_inf,
 }
 

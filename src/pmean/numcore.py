@@ -67,7 +67,7 @@ def normal_quantile(q: float) -> float:
     """Inverse of Phi on (0, 1)."""
     if not 0.0 < q < 1.0:
         raise DomainError(f"normal_quantile requires q in (0,1), got {q}")
-    return float(sf.ndtri(q))
+    return sf.ndtri(q)
 
 
 # Absolute and relative tolerance, and subdivision budget, of gauss_expect.

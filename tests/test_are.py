@@ -364,11 +364,13 @@ class TestAttaining:
         with pytest.raises(DomainError):
             attaining_sequence(1.0, 1.5, 0.05, 0.95)   # above a_1
 
-    def test_unreachable_scale_is_bracket_error(self):
-        # the root lies below ln s = -27, where f_p(s) = lambda_0 - lambda_p(s)
-        # rounds to 0: the widening meets ln 0 and stops with a typed error
-        with pytest.raises(BracketError):
-            attaining_sequence(-0.25, a_p(-0.25) * (1.0 - 1e-13), 0.05, 0.8)
+    def test_target_next_to_a_p_solves(self):
+        # the roots lie near s = 7e-7 and 2e-7, where f_p(s) = lambda_p(0) -
+        # lambda_p(s) is summed as its series in s^2; the difference of the two
+        # moments lost it to cancellation there, and the widening met f = 0
+        for rel in (1e-13, 1e-14):
+            u = attaining_sequence(-0.25, a_p(-0.25) * (1.0 - rel), 0.05, 0.8).probe(1000)
+            assert np.all(u == 1.0)     # f_p(s*) is so small that k(d) = d
 
     @pytest.mark.parametrize("p, target", [(1.9, 1e-10), (1.9, 1e-100), (3.0, 1e200)])
     def test_scale_past_overflow(self, p, target):

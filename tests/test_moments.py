@@ -236,11 +236,17 @@ class TestBatchedKernels:
         assert np.all((_mu_tilde_batch(10**6, s) >= 0) & np.isfinite(_mu_tilde_batch(10**6, s)))
 
     def test_closed_forms_at_zero(self):
-        from scipy.special import erf, exp1
+        # the s = 0 branch is the closed form through pmean.special's erf and
+        # exp1, and within 4e-16 of its 40-digit value
+        from pmean.special import erf, exp1
         for d in (1, 2, 7, 100, 10**4, 10**6):
             want = d * erf(1 / (d * math.sqrt(2))) + exp1(0.5 / d / d) / math.sqrt(2 * math.pi)
             assert mu_tilde(d, 0.0) == want
             assert limit_law(-1.0, d).center == want
+            with mpmath.workdps(40):
+                exact = (d * mpmath.erf(1 / (d * mpmath.sqrt(2)))
+                         + mpmath.e1(mpmath.mpf(0.5) / d / d) / mpmath.sqrt(2 * mpmath.pi))
+            assert abs(want - exact) <= 4e-16 * exact
         assert log_moment(1, 0.0) == LOG_MEAN_ZERO == -(EULER + math.log(2)) / 2
         law = limit_law(0.0, 100)
         assert law.center == LOG_MEAN_ZERO
@@ -401,6 +407,20 @@ class TestRegimeTable:
         want = sum(float(row.f(abs(v))) for v in theta)
         assert abs(traced.shift_sum(theta)(1.0) - want) < 1e-12 * want
         assert calls == [3]
+
+    @pytest.mark.parametrize("p", [-0.7, -0.5, -0.25, 0.5, 1.0, 3.0])
+    def test_lambda_rows_relative_near_zero(self, p):
+        # f = |lambda_p(s) - lambda_p(0)| keeps its relative accuracy as s -> 0,
+        # against 40-digit mpmath, to a bound of 2e-15 fixed before the run;
+        # the difference of the two moments was off by 1-3% at s = 1e-7
+        s = np.array([1e-2, 1e-3, 1e-5, 1e-7, 1e-9])
+        got = regime_row(p, 0.05, 1000).f(s)
+        with mpmath.workdps(40):
+            want = [abs(_mp_lambda(p, v) - _mp_lambda(p, 0)) for v in s]
+            err = [float(abs(g - w) / w) for g, w in zip(got, want)]
+        assert max(err) <= 2e-15, err
+        zero = float(regime_row(p, 0.05, 1000).f(0.0))
+        assert zero == 0.0 and math.copysign(1.0, zero) == 1.0
 
     def test_alpha_beta_validation(self):
         with pytest.raises(DomainError):

@@ -222,33 +222,64 @@ def test_cli_import_leaves_unused_scipy_out():
     assert out.stdout.strip() == "[]"
 
 
-@pytest.mark.parametrize("argv, loads", [
+# Each command and whether a fresh process running it loads any scipy module.
+# ndtri, gammaln, gamma, erf and exp1 come from the standard library, so
+# critical values, the a_p curve and the stable rows load none; ndtr on arrays
+# (the CLT law's CDF, exact finite-d power), log_ndtr (the p = +inf row) and
+# hyp1f1 (shifted moments) are scipy's.  The first four keep their places.
+SCIPY_LOADS = [
     (["version"], False),
     (["are", "--p", "3", "--alpha", "0.05", "--beta", "0.8", "--useq", "spike"], False),
     (["simulate", "--p", "3", "--d", "100", "--alpha", "0.05", "--reps", "2000", "--seed", "5",
       "--shift", "equalized:0.3"], False),
     (["schur2-check", "--p", "1", "--d", "2", "--c", "1.5", "--v", "1.4142135623730951,0",
       "--w", "1,1", "--reps", "2000", "--seed", "9"], False),
-    (["critval", "--p", "3", "--d", "1000", "--alpha", "0.05"], True),
-])
+    (["critval", "--p", "3", "--d", "1000", "--alpha", "0.05"], False),
+    (["critval", "--p", "-1", "--d", "10000", "--alpha", "0.05"], False),
+    (["critval", "--p", "2", "--d", "1000", "--alpha", "0.05"], False),
+    (["feasible", "--p", "-2", "--d", "10000", "--alpha", "0.05", "--beta", "0.8",
+      "--u", "block:100:1.0"], False),
+    (["ap-curve", "--from", "-0.49", "--to", "8", "--step", "0.01", "--format", "json"], False),
+    (["verify-ap", "--from", "-0.499", "--to", "50", "--step", "0.001"], False),
+    (["ks", "--p", "-2", "--d", "1000", "--nrep", "200", "--seed", "3"], False),
+    *[(["critval", "--p", p, "--d", "1000", "--alpha", "0.05"], False)
+      for p in ("-inf", "-0.7", "-0.5", "-0.3", "0")],
+    (["power", "--p", "3", "--d", "1000", "--alpha", "0.05", "--shift", "equalized:0.12"], True),
+    (["samplesize", "--p", "1", "--d", "1000", "--alpha", "0.05", "--beta", "0.8",
+      "--theta", "equalized:0.05"], True),
+    (["are-finite", "--p", "1", "--d", "2", "--u", "1,0.5", "--alpha", "0.05", "--beta", "0.8"],
+     True),
+    (["ks", "--p", "3", "--d", "100", "--nrep", "200", "--seed", "3"], True),
+    (["critval", "--p", "inf", "--d", "1000", "--alpha", "0.05"], True),
+]
+
+
+@pytest.mark.parametrize("argv, loads", SCIPY_LOADS)
 def test_cli_commands_load_scipy_special_on_first_use(argv, loads):
     code = ("import sys, pmean.cli; code = pmean.cli.run(sys.argv[1:]); "
-            "print(code, 'scipy.special' in sys.modules, file=sys.stderr)")
+            "print(code, any(m.split('.')[0] == 'scipy' for m in sys.modules), file=sys.stderr)")
     out = subprocess.run([sys.executable, "-c", code, *argv], capture_output=True,
                          text=True, check=True)
-    assert out.stderr.split() == ["0", str(loads)]
+    want_code = 3 if argv[0] == "feasible" else 0   # block:100 is infeasible at p = -2
+    assert out.stderr.split() == [str(want_code), str(loads)]
 
 
 def test_special_names_are_scipy_objects():
+    # the three names served from scipy are its objects, cached after first
+    # use; the five others are pmean's own functions; no other name is served
     names = set()
     for path in Path(pmean.__file__).parent.glob("*.py"):
         names.update(re.findall(r"\bsf\.(\w+)", path.read_text()))
-    assert {"ndtr", "ndtri", "gammaln", "gamma"} <= names
-    for name in sorted(names):
+    scipy_names = {"ndtr", "log_ndtr", "hyp1f1"}
+    assert names == scipy_names | {"ndtri", "gammaln", "gamma", "erf", "exp1"}
+    for name in sorted(scipy_names):
         assert getattr(sf, name) is getattr(scipy.special, name)
         assert vars(sf)[name] is getattr(scipy.special, name)   # cached after first use
-    with pytest.raises(AttributeError, match="no_such_function"):
-        sf.no_such_function
+    for name in sorted(names - scipy_names):
+        assert getattr(sf, name) is vars(sf)[name] is not getattr(scipy.special, name)
+    for name in ("no_such_function", "erfc", "ndtri_exp"):
+        with pytest.raises(AttributeError, match=name):
+            getattr(sf, name)
 
 
 def test_rng_stream_reproducible():
