@@ -13,12 +13,10 @@ pmean``, numpy included.
 
 import functools
 import math
-from statistics import NormalDist
 
 import numpy as np
 
 _FROM_SCIPY = ("ndtr", "log_ndtr", "hyp1f1")
-_STD_NORMAL = NormalDist()
 
 
 def __getattr__(name):
@@ -47,7 +45,8 @@ def _elementwise(scalar):
 def ndtri(q):
     """Inverse of the standard normal distribution function; nan outside [0, 1]."""
     if 0.0 < q < 1.0:
-        return _STD_NORMAL.inv_cdf(q)
+        from statistics import NormalDist       # loads random and fractions: not at import
+        return NormalDist().inv_cdf(q)
     return -math.inf if q == 0.0 else math.inf if q == 1.0 else math.nan
 
 
