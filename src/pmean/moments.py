@@ -107,7 +107,7 @@ def lambda_p_zero(p: float) -> float:
     """Closed form lambda_p(0) = 2^{p/2} Gamma((p+1)/2) / sqrt(pi), p > -1."""
     if p <= -1.0:
         raise DomainError(f"lambda_p(0) requires p > -1, got {p}")
-    return math.exp(0.5 * p * math.log(2.0) + sf.gammaln(0.5 * (p + 1.0)) - 0.5 * math.log(math.pi))
+    return 2.0 ** (0.5 * p) * sf.gamma(0.5 * (p + 1.0)) / math.sqrt(math.pi)
 
 
 # E ln|Z| and Var ln|Z|
