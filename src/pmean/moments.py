@@ -107,7 +107,10 @@ def lambda_p_zero(p: float) -> float:
     """Closed form lambda_p(0) = 2^{p/2} Gamma((p+1)/2) / sqrt(pi), p > -1."""
     if p <= -1.0:
         raise DomainError(f"lambda_p(0) requires p > -1, got {p}")
-    return 2.0 ** (0.5 * p) * sf.gamma(0.5 * (p + 1.0)) / math.sqrt(math.pi)
+    out = 2.0 ** (0.5 * p) * sf.gamma(0.5 * (p + 1.0)) / math.sqrt(math.pi)
+    if out == math.inf:
+        raise OverflowError(f"lambda_p(0) overflows the doubles at p={p}")
+    return out
 
 
 # E ln|Z| and Var ln|Z|
@@ -119,7 +122,7 @@ LOG_VAR_ZERO = math.pi ** 2 / 8.0
 # to overflow past s ~ 1.3e154
 _LAMBDA_ASYMPTOTIC = 1e8
 # below this |s|, lambda_p(s) - lambda_p(0) is summed as a series in s^2
-_LAMBDA_SERIES = 1.0
+_LAMBDA_SERIES = 0.1
 # the u = ln|y| rule of E ln|Z+s| starts here: Int_{-inf}^{U} |u| e^u phi(0) du < 1e-17
 _LOG_U_MIN = -42.0
 
@@ -137,19 +140,26 @@ def _lambda_p_batch(p: float, s) -> np.ndarray:
     return out
 
 
-def _lambda_p_rise(p: float, s) -> np.ndarray:
-    """lambda_p(s) - lambda_p(0) elementwise, p > -1; below _LAMBDA_SERIES as
-    lambda_p(0) Sum_{k=1}^{40} (-p/2)_k / ((1/2)_k k!) (-s^2/2)^k, relative as
-    s -> 0, where the difference of the two moments loses eps / (|p| s^2)."""
-    s = np.abs(np.asarray(s, dtype=float))
-    small = s < _LAMBDA_SERIES
-    out = np.empty(s.shape)
-    out[~small] = _lambda_p_batch(p, s[~small]) - lambda_p_zero(p)
-    if small.any():
-        j = np.arange(40.0)
-        coef = np.cumprod((j - 0.5 * p) / ((j + 0.5) * (j + 1.0)))
-        out[small] = lambda_p_zero(p) * (np.power.outer(-0.5 * np.square(s[small]), j + 1.0) @ coef)
-    return out
+def _lambda_p_rise(p: float) -> Callable[[np.ndarray], np.ndarray]:
+    """s -> lambda_p(s) - lambda_p(0) elementwise, p > -1.  Below _LAMBDA_SERIES
+    it is lambda_p(0) Sum_{k=1}^{12} (-p/2)_k / ((1/2)_k k!) (-s^2/2)^k, with
+    its relative accuracy as s -> 0, where the difference of the two moments
+    loses eps / (|p| s^2); the terms past the 12th are below 1e-18 of the sum
+    while lambda_p(0) is finite."""
+    lam0 = lambda_p_zero(p)
+    j = np.arange(12.0)
+    coef = np.cumprod((j - 0.5 * p) / ((j + 0.5) * (j + 1.0)))
+
+    def rise(s):
+        s = np.abs(np.asarray(s, dtype=float))
+        out = np.asarray(_lambda_p_batch(p, s) - lam0)
+        small = s < _LAMBDA_SERIES
+        if small.any():
+            x = -0.5 * np.square(s[small])
+            out[small] = lam0 * (np.cumprod(np.repeat(x[:, None], 12, axis=1), axis=1) @ coef)
+        return out
+
+    return rise
 
 
 def _gauss_rule(s: np.ndarray, near: Callable, far: Callable) -> np.ndarray:
@@ -512,16 +522,16 @@ _ROWS = {
     Regime.NEG_ONE: lambda p, d, a, law: _bounded(
         p, d, a, law, float, lambda s: _mu_tilde_batch(d, s) - law.center, 1.0),
     Regime.NEG_ONE_TO_NEG_HALF: lambda p, d, a, law: _bounded(
-        p, d, a, law, lambda dd: float(dd) ** abs(p), lambda s: _lambda_p_rise(p, s), 1.0),
+        p, d, a, law, lambda dd: float(dd) ** abs(p), _lambda_p_rise(p), 1.0),
     Regime.NEG_HALF: lambda p, d, a, law: _bounded(
         p, d, a, law, lambda dd: math.sqrt(dd * math.log(dd)),
-        lambda s: _lambda_p_rise(p, s), _NEG_HALF_SIGMA),
+        _lambda_p_rise(p), _NEG_HALF_SIGMA),
     Regime.NEG_HALF_TO_ZERO: lambda p, d, a, law: _bounded(
-        p, d, a, law, math.sqrt, lambda s: _lambda_p_rise(p, s), law.scale / math.sqrt(d)),
+        p, d, a, law, math.sqrt, _lambda_p_rise(p), law.scale / math.sqrt(d)),
     Regime.ZERO: lambda p, d, a, law: _unbounded(
         p, d, a, law, lambda s: _log_mean_batch(s) - law.center),
     Regime.ZERO_TO_INF: lambda p, d, a, law: _unbounded(
-        p, d, a, law, lambda s: _lambda_p_rise(p, s)),
+        p, d, a, law, _lambda_p_rise(p)),
     Regime.POS_INF: _row_pos_inf,
 }
 
