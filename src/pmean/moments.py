@@ -103,6 +103,7 @@ class ExtendedP:
 # Moment functions
 # ---------------------------------------------------------------------------
 
+@lru_cache(maxsize=1024)
 def lambda_p_zero(p: float) -> float:
     """Closed form lambda_p(0) = 2^{p/2} Gamma((p+1)/2) / sqrt(pi), p > -1."""
     if p <= -1.0:
@@ -141,18 +142,17 @@ def _lambda_p_batch(p: float, s) -> np.ndarray:
 
 
 def _lambda_p_rise(p: float) -> Callable[[np.ndarray], np.ndarray]:
-    """s -> lambda_p(s) - lambda_p(0) elementwise, p > -1.  Below _LAMBDA_SERIES
-    it is lambda_p(0) Sum_{k=1}^{12} (-p/2)_k / ((1/2)_k k!) (-s^2/2)^k, with
-    its relative accuracy as s -> 0, where the difference of the two moments
-    loses eps / (|p| s^2); the terms past the 12th are below 1e-18 of the sum
-    while lambda_p(0) is finite."""
+    """s -> lambda_p(s) - lambda_p(0) elementwise, p > -1; below _LAMBDA_SERIES,
+    where the difference loses eps / (|p| s^2), lambda_p(0) Sum_{k=1}^{12} (-p/2)_k
+    / ((1/2)_k k!) (-s^2/2)^k, whose later terms are below 1e-18 of the sum."""
     lam0 = lambda_p_zero(p)
     j = np.arange(12.0)
     coef = np.cumprod((j - 0.5 * p) / ((j + 0.5) * (j + 1.0)))
 
     def rise(s):
         s = np.abs(np.asarray(s, dtype=float))
-        out = np.asarray(_lambda_p_batch(p, s) - lam0)
+        out = _lambda_p_batch(p, s)
+        out -= lam0
         small = s < _LAMBDA_SERIES
         if small.any():
             x = -0.5 * np.square(s[small])

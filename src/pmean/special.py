@@ -33,7 +33,7 @@ def _elementwise(scalar):
 
     @functools.wraps(scalar)
     def f(x):
-        if np.ndim(x) == 0:
+        if isinstance(x, float) or np.ndim(x) == 0:
             return scalar(float(x))
         with np.errstate(all="ignore"):     # comparing a nan sets the invalid flag
             return each(np.asarray(x, dtype=float)).astype(float)
