@@ -366,8 +366,8 @@ class TestAttaining:
 
     def test_target_next_to_a_p_solves(self):
         # the roots lie near s = 7e-7 and 2e-7, where f_p(s) = lambda_p(0) -
-        # lambda_p(s) is summed as its series in s^2; the difference of the two
-        # moments lost it to cancellation there, and the widening met f = 0
+        # lambda_p(s) is summed as its series in s^2: the difference of the two
+        # moments cancels to about 0 there
         for rel in (1e-13, 1e-14):
             u = attaining_sequence(-0.25, a_p(-0.25) * (1.0 - rel), 0.05, 0.8).probe(1000)
             assert np.all(u == 1.0)     # f_p(s*) is so small that k(d) = d

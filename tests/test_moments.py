@@ -411,8 +411,8 @@ class TestRegimeTable:
     @pytest.mark.parametrize("p", [-0.7, -0.5, -0.25, 0.5, 1.0, 3.0])
     def test_lambda_rows_relative_near_zero(self, p):
         # f = |lambda_p(s) - lambda_p(0)| keeps its relative accuracy as s -> 0,
-        # against 40-digit mpmath, to a bound of 2e-15 fixed before the run;
-        # the difference of the two moments was off by 1-3% at s = 1e-7
+        # where the difference of the two moments cancels to eps / (|p| s^2):
+        # against 40-digit mpmath, to a bound of 2e-15 fixed before the run
         s = np.array([1e-2, 1e-3, 1e-5, 1e-7, 1e-9])
         got = regime_row(p, 0.05, 1000).f(s)
         with mpmath.workdps(40):

@@ -224,9 +224,9 @@ def test_cli_import_leaves_unused_scipy_out():
 
 # Each command and whether a fresh process running it loads any scipy module.
 # ndtri, gammaln, gamma, erf and exp1 come from the standard library, so
-# critical values, the a_p curve and the stable rows load none; ndtr on arrays
-# (the CLT law's CDF, exact finite-d power), log_ndtr (the p = +inf row) and
-# hyp1f1 (shifted moments) are scipy's.  The first four keep their places.
+# critical values off the p = +inf row, the a_p curve and the stable rows load
+# none; ndtr on arrays (the CLT law's CDF, exact finite-d power), log_ndtr (the
+# p = +inf row) and hyp1f1 (shifted moments) are scipy's.
 SCIPY_LOADS = [
     (["version"], False),
     (["are", "--p", "3", "--alpha", "0.05", "--beta", "0.8", "--useq", "spike"], False),
