@@ -55,11 +55,9 @@ def pmean_rows(p, x: np.ndarray) -> np.ndarray:
 
 
 def _abs_pmean_rows(pvs, az: np.ndarray) -> list:
-    """Row-wise p-means of the nonnegative 2-D array az, one array per
-    extended p value in pvs: (sum_j az_j^p / d)^(1/p) from ``_power_sums``
-    for finite p != 0, e^(mean ln az) at p = 0, and the row max and min at
-    p = +-inf.  Rows that ``_power_sums`` sums in log space take their
-    p-mean in log space as well."""
+    """Row-wise p-means of the nonnegative 2-D array az, one array per extended
+    p value in pvs: (sum_j az_j^p / d)^(1/p) from ``_power_sums`` for finite
+    p != 0, e^(mean ln az) at p = 0, and the row max and min at p = +-inf."""
     d = az.shape[1]
     buf = np.empty_like(az)   # untouched, so free, when every p is infinite
     out = []
@@ -92,28 +90,20 @@ def _geometric_mean(az: np.ndarray, buf: np.ndarray) -> np.ndarray:
     return np.ldexp(np.exp((r * math.log(2.0) + s) / d), q)
 
 
-def _root_mean(pv: float, d: int, m: np.ndarray, s: np.ndarray, slow: np.ndarray) -> np.ndarray:
-    """(e^m s / d)^(1/p) per row, from ``_power_sums``: the root of the mean
-    on rows summed directly (m = 0), and e^((m + ln(s/d))/p) on the slow rows."""
+def _root_mean(pv: float, d: int, s: np.ndarray, k: np.ndarray) -> np.ndarray:
+    """2^-k (s / d)^(1/p) per row, the p-mean from ``_power_sums``; inf past the
+    doubles, where an infinite coordinate can take it at p < 0."""
     # 1/p = inv + inv_lo to double-double (int / int rounds correctly), and
     # x^inv_lo = 1 + inv_lo ln x keeps the root accurate where |ln x| is large
     inv = 1.0 / pv
     (a, b), (c, e) = pv.as_integer_ratio(), inv.as_integer_ratio()
     inv_lo = (b * e - a * c) / (a * e)
-    ms, ss = m[slow], s[slow]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        mean = s / d
+    mean = s / d
+    with np.errstate(over="ignore"):
         rows = np.power(mean, inv)
         if inv_lo:
-            rows += rows * (inv_lo * np.log(mean))
-        lse = np.exp((ms + np.log(ss / d)) / pv)
-    # m is infinite where a zero coordinate meets p < 0 or an infinite one
-    # p > 0 (+inf), and on all-zero rows at p > 0 or all-infinite rows at
-    # p < 0 (-inf): the p-mean is then e^(m/p), 0 or inf
-    edge = ~np.isfinite(ms)
-    lse[edge] = np.exp(ms[edge] / pv)
-    rows[slow] = lse
-    return rows
+            np.add(rows, rows * (inv_lo * np.log(mean)), out=rows, where=rows < math.inf)
+        return np.ldexp(rows, -k)
 
 
 # az^p into the scratch array t, by multiplication or sqrt where p allows
@@ -131,27 +121,31 @@ _POWERS = {
 _DIRECT_FLOOR = 2.0 ** -960
 
 
-def _power_sums(pv: float, az: np.ndarray, buf=None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(m, s, slow) with sum_j az_j^p = e^m s per row of the nonnegative 2-D
-    array az, for finite p != 0; buf, if given, is scratch of az's shape.
-    Each row is summed directly, pairwise by ``sum(axis=1)``, with m = 0.
-    The ``slow`` rows, whose direct sum is not finite or is below 2^-960 (a
-    zero coordinate at p < 0, an infinite one at p > 0, terms that over- or
-    underflow), are recomputed alone by log-sum-exp: m is then the row's
-    largest p ln az_j, infinite (and s NaN) where the sum is 0 or infinite."""
-    if buf is None:
-        buf = np.empty_like(az)
+def _power_sums(pv: float, az: np.ndarray, buf: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(s, k) with sum_j az_j^p = 2^(-k p) s per row of the nonnegative 2-D array
+    az, for finite p != 0; buf is scratch of az's shape.  A row is
+    summed directly, pairwise by ``sum(axis=1)`` (k = 0), or, if that sum is not
+    finite or is below 2^-960, again on az 2^k, the exact scaling that puts its
+    max (p > 0) or min (p < 0) in [1/2, 1), enough for |p| <= 960.  Where that is
+    0 or inf, so is the p-mean: (s, k) = (d, +-2^30), and 2^(-k p) is 0 or inf
+    past |p| = 1e-6."""
+    power = _POWERS.get(pv, lambda az, t: np.power(az, pv, out=t))
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        s = _POWERS.get(pv, lambda az, t: np.power(az, pv, out=t))(az, buf).sum(axis=1)
-    m = np.zeros_like(s)
+        s = power(az, buf).sum(axis=1)
+    k = np.zeros(s.shape, dtype=np.int32)
     slow = ~((s >= _DIRECT_FLOOR) & (s < math.inf))
     if slow.any():
-        with np.errstate(divide="ignore"):
-            a = pv * np.log(az[slow])
-        m[slow] = a.max(axis=1)
-        with np.errstate(invalid="ignore"):
-            s[slow] = np.sum(np.exp(a - m[slow][:, None]), axis=1)
-    return m, s, slow
+        a = az[slow]
+        top = a.max(axis=1) if pv > 0 else a.min(axis=1)
+        e = np.frexp(top)[1]
+        with np.errstate(divide="ignore", over="ignore"):
+            t = power(np.ldexp(a, -e[:, None]), buf[:len(a)]).sum(axis=1)
+        edge = (top == 0.0) | (top == math.inf)
+        k[slow] = np.where(edge, np.where(top == 0.0, 1 << 30, -1 << 30), -e)
+        s[slow] = t = np.where(edge, az.shape[1], t)
+        if np.any((t < _DIRECT_FLOOR) | (t == math.inf)):
+            raise DomainError(f"p={pv:g}: a row's p-th powers leave the doubles even rescaled")
+    return s, k
 
 
 def decide(p, c: float, n: int, sample_mean) -> bool:

@@ -199,11 +199,11 @@ def limit_law_ks(p, d: int, nrep: int, rng: RngStream, threads: int = 1) -> Limi
         az = np.abs(z, out=z)
         if not math.isfinite(pv):
             return _abs_pmean_rows([pv], az)[0]
-        if pv == 0.0:
-            with np.errstate(divide="ignore"):
+        with np.errstate(divide="ignore", over="ignore"):
+            if pv == 0.0:
                 return np.log(az, out=az).sum(axis=1)
-        m, s, _ = _power_sums(pv, az)
-        return s * np.exp(m)
+            s, k = _power_sums(pv, az, np.empty_like(az))
+            return s * np.exp2(-pv * k)
 
     t = np.concatenate(_draw_chunks(sums, rng, nrep, d, threads))
     stat = (t - d * law.center) / law.scale

@@ -68,6 +68,9 @@ class TestPMean:
         assert pmean_rows(0.5, [[inf, 0.0]])[0] == inf
         rows = pmean_rows(3, [[inf, 1.0], [0.0, 0.0], [1.0, 2.0]])
         assert rows[0] == inf and rows[1] == 0.0 and abs(rows[2] - 4.5 ** (1 / 3)) < 1e-14
+        # 2^(1/0.3) 1.7e308 is past the doubles: inf, not the NaN of inf - inf in
+        # the root's correction term
+        assert pmean_rows(-0.3, [[inf, 1.7e308]])[0] == inf
 
     def test_overflow_safe(self):
         v = np.array([1e-280, 2e-300, 5e-290])
@@ -87,34 +90,29 @@ class TestPMean:
             pmean(2, [])
 
 
-def _log_space_pmean_rows(p, x):
-    """The row p-means by log-sum-exp, as the kernel computes its fallback
-    rows: the reference for edge semantics."""
-    with np.errstate(divide="ignore", invalid="ignore"):
-        a = p * np.log(np.abs(np.asarray(x, dtype=float)))
-        m = a.max(axis=1)
-        s = np.sum(np.exp(a - m[:, None]), axis=1)
-        out = np.exp((m + np.log(s / a.shape[1])) / p)
-    bad = ~np.isfinite(m)
-    out[bad] = np.exp(m[bad] / p)
-    return out
-
-
-def _oracle_pmean(p, row):
-    """The p-mean of a row of doubles to 30 digits: each distinct |x_j|^p
-    times its count, and their sum, in 100-bit mpmath arithmetic (raw libmp)."""
+def _oracle_power_sum(p, row):
+    """sum_j |x_j|^p of a row of finite doubles in 100-bit mpmath arithmetic
+    (raw libmp): each distinct |x_j|^p times its count."""
     a = np.abs(np.asarray(row, dtype=float))
-    if p < 0 and np.any(a == 0.0):
-        return 0.0
-    if p > 0 and np.any(a == math.inf):
-        return math.inf
     prec, pm = 100, libmp.from_float(p)
     s = libmp.fzero
     for x, n in zip(*(v.tolist() for v in np.unique(a[np.isfinite(a)], return_counts=True))):
         term = libmp.mpf_pow(libmp.from_float(x), pm, prec)
         s = libmp.mpf_add(s, libmp.mpf_mul(term, libmp.from_int(n), prec), prec)
+    return s
+
+
+def _oracle_pmean(p, row):
+    """The p-mean of a row of doubles to 30 digits, from ``_oracle_power_sum``."""
+    a = np.abs(np.asarray(row, dtype=float))
+    if p < 0 and np.any(a == 0.0):
+        return 0.0
+    if p > 0 and np.any(a == math.inf):
+        return math.inf
+    s = _oracle_power_sum(p, a)
     if s == libmp.fzero:
         return math.inf if p < 0 else 0.0
+    prec, pm = 100, libmp.from_float(p)
     mean = libmp.mpf_div(s, libmp.from_int(a.size), prec)
     return libmp.to_float(libmp.mpf_pow(mean, libmp.mpf_div(libmp.fone, pm, prec), prec))
 
@@ -131,6 +129,11 @@ SORTED_P = (-math.inf, -3.0, -2.0, -1.0, -0.5, -0.3, 0.0, 0.3, 0.5, 0.7, 1.0, 2.
 # |x|^p stays within the double range for |p| <= 3, so every row is summed directly
 MODERATE = st.one_of(st.just(0.0), st.floats(1e-90, 1e90), st.floats(-1e90, -1e-90))
 MODERATE_ROW = st.lists(MODERATE, min_size=1, max_size=40)
+# exponents whose terms leave the double range on rows of ordinary values
+WIDE_P = (-171.0, -20.0, 20.0, 171.0)
+FULL_RANGE = st.one_of(st.sampled_from([0.0, math.inf, 5e-324, 1.7e308]),
+                       st.floats(0.0, 1.7e308), st.floats(-1.7e308, -0.0))
+FULL_RANGE_ROW = st.lists(FULL_RANGE, min_size=1, max_size=30)
 
 
 def _close(a, b, rel):
@@ -138,7 +141,8 @@ def _close(a, b, rel):
 
 
 class TestKernel:
-    """The row kernel: direct power sums with a log-sum-exp fallback per row."""
+    """The row kernel: direct power sums, summed again after an exact
+    power-of-two rescale on rows whose terms over- or underflow."""
 
     @settings(max_examples=100, deadline=None)
     @given(MODERATE_ROW)
@@ -184,25 +188,73 @@ class TestKernel:
         [1e170, 3e160, 2e175], [1e-120, 5e-130, 1e300],
     ]
 
-    @pytest.mark.parametrize("p", KERNEL_P)
+    @pytest.mark.parametrize("p", KERNEL_P + WIDE_P)
     def test_edge_rows(self, p):
-        """Rows the kernel cannot sum directly are bit-equal to the log-space
-        path; the rest are within 1e-15 of the oracle (and within one
-        subnormal step of it, where the p-mean is subnormal)."""
+        """Every edge row, summed directly or rescaled by a power of two, is
+        within 1e-15 of the oracle (and within one subnormal step of it, where
+        the p-mean is subnormal)."""
         x = np.array(self.EDGE_ROWS)
-        got = pmean_rows(p, x)
-        slow = _power_sums(p, np.abs(x))[2]
-        lse = _log_space_pmean_rows(p, x)
-        assert np.array_equal(got[slow], lse[slow], equal_nan=True)
-        for g, row in zip(got[~slow], x[~slow]):
+        for g, row in zip(pmean_rows(p, x), x):
             want = _oracle_pmean(p, row)
-            assert abs(g - want) <= 1e-15 * want + 5e-324, (p, row, g, want)
+            assert g == want or abs(g - want) <= 1e-15 * want + 5e-324, (p, row, g, want)
         a = np.abs(x)
         must = np.all(a == 0.0, axis=1) | np.all(a == math.inf, axis=1)
         must |= np.any(a == 0.0, axis=1) if p < 0 else np.any(a == math.inf, axis=1)
         # every term underflows: the row of small values at large p, and vice versa
         must[[7, 10] if p >= 3 else [11] if p <= -3 else []] = True
-        assert np.all(slow[must]), slow
+        k = _power_sums(p, a, np.empty_like(a))[1]
+        assert np.all(k[must] != 0), k
+
+    @settings(max_examples=300, deadline=None)
+    @given(FULL_RANGE_ROW, st.sampled_from([p for p in KERNEL_P + WIDE_P if abs(p) >= 0.5]))
+    def test_full_range_rows_against_mpmath(self, row, p):
+        # zeros, infinities, subnormals and values up to 1.7e308: to a bound of
+        # 2e-15 fixed before the run.  At |p| = 0.3 no term leaves the doubles,
+        # and the root multiplies the direct sum's rounding by 1/|p|: 21 equal
+        # coordinates are off by 2.0e-15
+        got, want = pmean(p, row), _oracle_pmean(p, row)
+        assert got == want or abs(got - want) <= 2e-15 * want + 5e-324, (got, want)
+
+    @pytest.mark.parametrize("p", KERNEL_P + WIDE_P)
+    def test_power_sums_against_mpmath(self, p):
+        """2^(-k p) s is sum_j |x_j|^p wherever that sum is a normal double."""
+        rng = np.random.default_rng(5)
+        # |x|^p = 2^u with u uniform over the exponents that keep x a double
+        # (summed directly) and, where |p| >= 1 lets x reach them, over
+        # (-1020, -962), whose sums are normal doubles below 2^-960 (rescaled)
+        top = 1015.0 * min(1.0, abs(p))
+        us = [rng.uniform(-top, top, 5) for _ in range(20)]
+        us += [rng.uniform(-1020.0, -962.0, 5) for _ in range(20 if abs(p) >= 1 else 0)]
+        rows = self.EDGE_ROWS + [list(np.exp2(u / p)) for u in us]
+        checked = rescaled = 0
+        for row in rows:
+            a = np.abs(np.array([row]))
+            if not np.all((a > 0.0) & (a < math.inf)):
+                continue
+            (s,), (k,) = _power_sums(p, a, np.empty_like(a))
+            want = libmp.to_float(_oracle_power_sum(p, a))
+            if not 2.0 ** -1022 <= want < math.inf:
+                continue
+            kp = libmp.mpf_mul(libmp.from_int(-int(k)), libmp.from_float(p))   # exact
+            scale = libmp.mpf_pow(libmp.from_int(2), kp, 100)
+            got = libmp.to_float(libmp.mpf_mul(libmp.from_float(float(s)), scale, 100))
+            assert abs(got - want) <= 1e-15 * want, (p, row, got, want)
+            checked += 1
+            rescaled += k != 0
+        assert checked >= 20 and rescaled >= (20 if abs(p) >= 1 else 0)
+
+    def test_rescale_range(self):
+        # 2^k puts the dominant coordinate in [1/2, 1), so its term lies in
+        # [2^-p, 1] at p > 0 and [1, 2^|p|] at p < 0: within the doubles up to
+        # |p| = 960, and a DomainError naming p where a row needs more
+        for p in (960.0, -960.0, 171.0, -171.0):
+            for row in ([0.5, 0.5], [1e-300, 3e-301], [1e300, 0.75]):
+                want = _oracle_pmean(p, row)
+                assert abs(pmean(p, row) - want) <= 1e-15 * want, (p, row)
+        for p in (1e4, -1e4, 1100.0):
+            with pytest.raises(DomainError, match=f"p={p:g}"):
+                pmean(p, [0.5, 0.5])
+        assert pmean(1e4, [1.0, 0.5]) == pytest.approx(2.0 ** -1e-4)
 
     def test_zero_and_infinite_results_exact(self):
         assert pmean(-2.0, [0.0, math.inf]) == 0.0
