@@ -108,9 +108,10 @@ def lambda_p_zero(p: float) -> float:
     """Closed form lambda_p(0) = 2^{p/2} Gamma((p+1)/2) / sqrt(pi), p > -1."""
     if p <= -1.0:
         raise DomainError(f"lambda_p(0) requires p > -1, got {p}")
-    out = 2.0 ** (0.5 * p) * sf.gamma(0.5 * (p + 1.0)) / math.sqrt(math.pi)
+    # 2^(p/2) alone would raise OverflowError from p = 2048; gamma is inf by then
+    out = 2.0 ** min(0.5 * p, 1023.0) * sf.gamma(0.5 * (p + 1.0)) / math.sqrt(math.pi)
     if out == math.inf:
-        raise OverflowError(f"lambda_p(0) overflows the doubles at p={p}")
+        raise DomainError(f"lambda_p(0) = E|Z|^p leaves the doubles at p={p:g}")
     return out
 
 
@@ -122,8 +123,10 @@ LOG_VAR_ZERO = math.pi ** 2 / 8.0
 # series of 1F1 to double precision while s^p is finite; hyp1f1 loses -s^2/2
 # to overflow past s ~ 1.3e154
 _LAMBDA_ASYMPTOTIC = 1e8
-# below this |s|, lambda_p(s) - lambda_p(0) is summed as a series in s^2
+# below this |s|, lambda_p(s) - lambda_p(0) and E ln|Z+s| - E ln|Z| (the p-derivative of
+# lambda_p(s) / lambda_p(0) at p = 0: coef_k = -1 / (k (1/2)_k), scale 1/2) go by series
 _LAMBDA_SERIES = 0.1
+_LOG_SERIES = -1.0 / (np.arange(1.0, 13.0) * np.cumprod(np.arange(0.5, 12.0)))
 # the u = ln|y| rule of E ln|Z+s| starts here: Int_{-inf}^{U} |u| e^u phi(0) du < 1e-17
 _LOG_U_MIN = -42.0
 
@@ -141,25 +144,27 @@ def _lambda_p_batch(p: float, s) -> np.ndarray:
     return out
 
 
-def _lambda_p_rise(p: float) -> Callable[[np.ndarray], np.ndarray]:
-    """s -> lambda_p(s) - lambda_p(0) elementwise, p > -1; below _LAMBDA_SERIES,
-    where the difference loses eps / (|p| s^2), lambda_p(0) Sum_{k=1}^{12} (-p/2)_k
-    / ((1/2)_k k!) (-s^2/2)^k, whose later terms are below 1e-18 of the sum."""
-    lam0 = lambda_p_zero(p)
-    j = np.arange(12.0)
-    coef = np.cumprod((j - 0.5 * p) / ((j + 0.5) * (j + 1.0)))
-
+def _series_rise(moment: Callable, m0: float, scale: float, coef: np.ndarray) -> Callable:
+    """s -> moment(s) - m0 elementwise, m0 = moment(0); below _LAMBDA_SERIES, where
+    that loses eps / s^2, scale Sum_{k=1}^{12} coef_k (-s^2/2)^k (later terms < 1e-18)."""
     def rise(s):
         s = np.abs(np.asarray(s, dtype=float))
-        out = _lambda_p_batch(p, s)
-        out -= lam0
+        out = moment(s)
+        out -= m0
         small = s < _LAMBDA_SERIES
         if small.any():
             x = -0.5 * np.square(s[small])
-            out[small] = lam0 * (np.cumprod(np.repeat(x[:, None], 12, axis=1), axis=1) @ coef)
+            out[small] = scale * (np.cumprod(np.repeat(x[:, None], 12, axis=1), axis=1) @ coef)
         return out
 
     return rise
+
+
+def _lambda_p_rise(p: float) -> Callable[[np.ndarray], np.ndarray]:
+    """s -> lambda_p(s) - lambda_p(0), p > -1: coef_k = (-p/2)_k / ((1/2)_k k!)."""
+    lam0, j = lambda_p_zero(p), np.arange(12.0)
+    return _series_rise(lambda s: _lambda_p_batch(p, s), lam0, lam0,
+                        np.cumprod((j - 0.5 * p) / ((j + 0.5) * (j + 1.0))))
 
 
 def _gauss_rule(s: np.ndarray, near: Callable, far: Callable) -> np.ndarray:
@@ -369,7 +374,11 @@ def _neg_half_law(p: float, d: int) -> LimitLaw:
 
 def _clt_law(p: float, d: int) -> LimitLaw:
     lam0 = lambda_p_zero(p)
-    return _normal_law("normal (CLT)", lam0, math.sqrt(d * (lambda_p_zero(2.0 * p) - lam0 ** 2)))
+    try:
+        var = lambda_p_zero(2.0 * p) - lam0 ** 2
+    except DomainError:     # lambda_2p(0) leaves the doubles; limit_law names p
+        var = math.inf
+    return _normal_law("normal (CLT)", lam0, math.sqrt(d * var))
 
 
 _LAWS = {
@@ -393,9 +402,16 @@ _LAWS = {
 
 
 def limit_law(p, d: int) -> LimitLaw:
-    """The law, centering and scale of the statistic for the regime containing p."""
+    """The law, centering and scale of the statistic for the regime containing
+    p; a DomainError where the center or the scale leaves the doubles."""
     ep = ExtendedP.of(p)
-    return _LAWS[ep.regime](ep.value, d)
+    try:
+        law = _LAWS[ep.regime](ep.value, d)
+    except OverflowError:   # d^|p|, the scale of the p < -1 rows
+        law = None
+    if law is None or not (math.isfinite(law.center) and math.isfinite(law.scale)):
+        raise DomainError(f"p={ep.value:g}, d={d}: the limit law's center or scale leaves the doubles")
+    return law
 
 
 @dataclass(frozen=True)
@@ -529,7 +545,7 @@ _ROWS = {
     Regime.NEG_HALF_TO_ZERO: lambda p, d, a, law: _bounded(
         p, d, a, law, math.sqrt, _lambda_p_rise(p), law.scale / math.sqrt(d)),
     Regime.ZERO: lambda p, d, a, law: _unbounded(
-        p, d, a, law, lambda s: _log_mean_batch(s) - law.center),
+        p, d, a, law, _series_rise(_log_mean_batch, law.center, 0.5, _LOG_SERIES)),
     Regime.ZERO_TO_INF: lambda p, d, a, law: _unbounded(
         p, d, a, law, _lambda_p_rise(p)),
     Regime.POS_INF: _row_pos_inf,
@@ -541,6 +557,6 @@ def regime_row(p, alpha: float, d: int) -> RegimeRow:
     if not 0.0 < alpha < 1.0:
         raise DomainError(f"alpha must be in (0,1), got {alpha}")
     ep = ExtendedP.of(p)
-    law = _LAWS[ep.regime](ep.value, d)
+    law = limit_law(ep, d)
     return RegimeRow(ep.regime, ep.value, d, alpha, law=law,
                      **_ROWS[ep.regime](ep.value, d, alpha, law))

@@ -252,6 +252,28 @@ class TestContracts:
         assert captured.out == ""
         assert "sqrt(d ln d) vanishes at d=1" in captured.err
 
+    @pytest.mark.parametrize("p", ["149.8", "171", "1e4"])
+    @pytest.mark.parametrize("cmd", ["critval", "power", "samplesize", "feasible", "ks"])
+    def test_law_past_the_doubles_exit_2(self, cmd, p, capsys):
+        # the CLT scale sqrt(d (lambda_2p(0) - lambda_p(0)^2)) leaves the doubles
+        # from p ~ 149.47 at d = 1e3, lambda_2p(0) from 150.578 and lambda_p(0)
+        # from 301.16; a critical value, power or KS distance read from such a
+        # law would be Infinity, NaN or alpha whatever the input
+        args = {"critval": [], "power": ["--shift", "equalized:0.5"],
+                "samplesize": ["--beta", "0.8", "--theta", "equalized:0.5"],
+                "feasible": ["--beta", "0.8", "--u", "equalized:1"], "ks": ["--nrep", "200"]}
+        argv = [cmd, "--p", p, "--d", "1000"] + (["--alpha", "0.05"] if cmd != "ks" else [])
+        assert run(argv + args[cmd]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "leaves the doubles" in captured.err
+        assert f"p={float(p):g}" in captured.err
+
+    def test_law_just_inside_the_doubles(self, capsys):
+        code, out = run_capture(["critval", "--p", "149.4", "--d", "1000", "--alpha", "0.05"],
+                                capsys)
+        assert code == 0 and math.isfinite(json.loads(out)["result"]["critical_value"])
+
     def test_are_finite_no_root_exit_2(self, capsys):
         # u's zero coordinate holds the p = -2 power at 1 - 0.673 < beta at
         # every scale; this used to exit 4 naming an unresolved window

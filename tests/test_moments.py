@@ -422,6 +422,18 @@ class TestRegimeTable:
         zero = float(regime_row(p, 0.05, 1000).f(0.0))
         assert zero == 0.0 and math.copysign(1.0, zero) == 1.0
 
+    def test_log_row_relative_near_zero(self):
+        # the p = 0 twin: f = E ln|Z+s| - E ln|Z| cancels to eps / s^2 as well,
+        # and is held to the same bound of 2e-15 against 40-digit mpmath
+        s = np.array([0.0999, 1e-2, 1e-3, 1e-5, 1e-7, 1e-9])
+        got = regime_row(0.0, 0.05, 1000).f(s)
+        with mpmath.workdps(40):
+            want = [_mp_log_mean(v) - _mp_log_mean(0) for v in s]
+            err = [float(abs(g - w) / w) for g, w in zip(got, want)]
+        assert max(err) <= 2e-15, err
+        zero = float(regime_row(0.0, 0.05, 1000).f(0.0))
+        assert zero == 0.0 and math.copysign(1.0, zero) == 1.0
+
     def test_alpha_beta_validation(self):
         with pytest.raises(DomainError):
             regime_row(1.0, 0.95, 10).K(0.05)
