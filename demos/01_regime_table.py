@@ -24,7 +24,7 @@ print(f"{'p':>8} | {'kappa(d)':>12} | {'K':>10} | {'f(1)':>10} | {'f(0)':>6} "
 print("-" * 100)
 for p in (-math.inf, -2.0, -1.0, -0.7, -0.5, -0.25, 0.0, 1.0, 2.0, 3.0, math.inf):
     row = regime_row(p, ALPHA, D)
-    print(f"{p:8} | {row.kappa(D):12.4g} | {row.K(BETA):10.5g} "
+    print(f"{p:8} | {row.kappa:12.4g} | {row.K(BETA):10.5g} "
           f"| {float(row.f(1.0)):10.5g} | {row.f_at_zero:6.0f} "
           f"| {row.critical():10.5g} | {row.law.name}")
 

@@ -13,13 +13,13 @@ __version__ = "0.1.0"
 from .numcore import (AccuracyError, BracketError, ConfigError, DomainError,
                       RngStream, find_root, gauss_expect, normal_cdf, normal_pdf,
                       normal_quantile)
-from .moments import (ExtendedP, LimitLaw, Regime, RegimeRow, b_p, c_crit_inf, lambda_inf,
+from .moments import (LimitLaw, Regime, RegimeRow, b_p, c_crit_inf, extended_p, lambda_inf,
                       lambda_p, lambda_p_zero, lambda_pm, limit_law, log_moment, mu_tilde,
-                      regime_row)
+                      regime_of, regime_row)
 from .stable import (StableLaw, stable_cdf, stable_quantile, stable_sample,
                      support_lower_bound)
-from .hypotest import (CriticalValue, Feasibility, InfeasibleError, ShiftVector,
-                       TestPlan, as_shift_residual, as_shift_scale, critical_value,
+from .hypotest import (CriticalValue, Feasibility, InfeasibleError, TestPlan,
+                       as_shift_residual, as_shift_scale, critical_value,
                        decide, feasibility, pmean, pmean_rows, power_asymptotic,
                        sample_size)
 from .are import (AREVerdict, DirectionSequence, IndeterminateGrowthError,

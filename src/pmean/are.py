@@ -19,12 +19,12 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Callable, Optional
 
 import numpy as np
 
 from . import special as sf
-from .moments import ExtendedP, lambda_p, regime_row
+from .moments import extended_p, lambda_p, regime_row
 from .numcore import (GAUSS_TAIL_RADIUS, AccuracyError, BracketError, DomainError, find_root,
                       normal_pdf, tanh_sinh)
 from .hypotest import pmean
@@ -63,8 +63,7 @@ def gamma_ratio(p) -> np.ndarray:
 def a_p(p) -> float:
     """The equalized-direction ARE constant; extended by 0 on [-inf,-1/2] and
     at p = +inf, by 2/pi at p = 0, and exactly 1 at p = 2."""
-    ep = ExtendedP.of(p)
-    v = ep.value
+    v = extended_p(p)
     if v == 2.0:
         return 1.0
     if v == 0.0:
@@ -282,8 +281,7 @@ def classify_are(p, useq: DirectionSequence, alpha: float, beta: float) -> AREVe
     p = inf, a regression slope inside the dead band raises
     IndeterminateGrowthError rather than guessing a side.
     """
-    ep = ExtendedP.of(p)
-    v = ep.value
+    v = extended_p(p)
     dims = np.asarray(sorted(useq.probe_dims), dtype=float)
     if len(dims) < 3 or dims[-1] / dims[0] < 999.0:
         raise DomainError("probe dimensions must span at least 3 decades")
@@ -432,11 +430,10 @@ def _prob_rows(p: float, r: np.ndarray, v: np.ndarray) -> np.ndarray:
     return sure + halves[:r.size] + halves[r.size:]
 
 
-def _prob_le(p: float, v: np.ndarray, c: float) -> float:
+def _prob_le(pv: float, v: np.ndarray, c: float) -> float:
     """P(<Z + v>_p <= c) for d = len(v) in {1, 2, 3} and c >= 0: the region
     sum_j t(Z_j + v_j) <= d t(c) (>= for p < 0), by ``_prob_rows``."""
     v = np.asarray(v, dtype=float)
-    pv = float(ExtendedP.of(p).value)
     if pv == math.inf:
         return float(np.prod(sf.ndtr(c - v) - sf.ndtr(-c - v)))
     if pv == -math.inf:
@@ -494,5 +491,5 @@ def are_finite(p, d: int, u, alpha: float, beta: float) -> float:
         return find_root(power_gap, 0.0, 1.0, tol=1e-13)
 
     t2 = solve_for(2.0)
-    tp = solve_for(ExtendedP.of(p).value)
+    tp = solve_for(extended_p(p))
     return t2 * t2 / (tp * tp)

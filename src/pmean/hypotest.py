@@ -17,11 +17,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Optional, Union
+from typing import Optional
 
 import numpy as np
 
-from .moments import ExtendedP, regime_row
+from .moments import extended_p, regime_row
 from .numcore import AccuracyError, ConfigError, DomainError, RngStream, find_root
 
 
@@ -47,7 +47,7 @@ def pmean(p, s) -> float:
 
 def pmean_rows(p, x: np.ndarray) -> np.ndarray:
     """Row-wise p-means of a 2-D array (see ``_abs_pmean_rows``)."""
-    pv = float(ExtendedP.of(p).value)
+    pv = extended_p(p)
     x = np.abs(np.asarray(x, dtype=float))
     if x.ndim != 2 or x.shape[1] == 0:
         raise DomainError("pmean expects a nonempty vector or 2-D array of rows")
@@ -156,29 +156,8 @@ def decide(p, c: float, n: int, sample_mean) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# Shift vectors and plans
+# Plans
 # ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class ShiftVector:
-    """A shift s = sqrt(n) theta_1 with its exact-zero count d_0 cached."""
-
-    entries: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "entries", np.asarray(self.entries, dtype=float))
-        if self.entries.ndim != 1 or self.entries.size == 0:
-            raise DomainError("ShiftVector must be a nonempty 1-D vector")
-
-    @property
-    def d0(self) -> int:
-        """Number of exactly-zero coordinates (bitwise test; threshold noisy
-        directions upstream)."""
-        return int(np.count_nonzero(self.entries == 0.0))
-
-    def __len__(self) -> int:
-        return self.entries.size
-
 
 @dataclass(frozen=True)
 class TestPlan:
@@ -186,14 +165,14 @@ class TestPlan:
 
     __test__ = False  # not a pytest class, despite the name
 
-    p: Union[float, ExtendedP]
+    p: float
     d: int
     alpha: float
     beta: float
     theta1: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "p", ExtendedP.of(self.p))
+        object.__setattr__(self, "p", extended_p(self.p))
         object.__setattr__(self, "theta1", np.asarray(self.theta1, dtype=float))
         if not (0.0 < self.alpha < self.beta < 1.0):
             raise DomainError(f"need 0 < alpha < beta < 1, got ({self.alpha}, {self.beta})")
@@ -241,7 +220,7 @@ def critical_value(p, d: int, alpha: float, method: str = "asymptotic",
     ``mc.empirical_critval``: the empirical (1 - alpha)-quantile of <Z>_p
     with an order-statistic CI.
     """
-    ep = ExtendedP.of(p)
+    pv = extended_p(p)
     if not 0.0 < alpha < 1.0:
         raise DomainError(f"alpha must be in (0,1), got {alpha}")
     if d < 1:
@@ -249,25 +228,34 @@ def critical_value(p, d: int, alpha: float, method: str = "asymptotic",
     if method == "mc":
         from .mc import empirical_critval   # mc imports this module
 
-        r = empirical_critval(ep, d, alpha, reps, rng if rng is not None else RngStream(0, 0))
+        r = empirical_critval(pv, d, alpha, reps, rng if rng is not None else RngStream(0, 0))
         return CriticalValue(r.estimate, "mc", half_width=r.half_width, reps=reps)
     if method != "asymptotic":
         raise ConfigError(f"unknown critical-value method {method!r}")
-    return CriticalValue(regime_row(ep, alpha, d).critical(), "asymptotic")
+    return CriticalValue(regime_row(pv, alpha, d).critical(), "asymptotic")
 
 
 # ---------------------------------------------------------------------------
 # Power, sample size, feasibility
 # ---------------------------------------------------------------------------
 
+def _shift_row(p, d: int, alpha: float, shift):
+    """The regime row at (p, d, alpha) and sum_j f(s_j) over the shift s, which
+    must be a nonempty 1-D vector of dimension d."""
+    s = np.asarray(shift, dtype=float)
+    if s.ndim != 1 or s.size == 0:
+        raise DomainError("the shift must be a nonempty 1-D vector")
+    if s.size != d:
+        raise DomainError(f"shift dimension {s.size} != d = {d}")
+    row = regime_row(p, alpha, d)
+    return row, row.shift_sum(s)(1.0)
+
+
 def power_asymptotic(p, d: int, alpha: float, shift) -> float:
     """Asymptotic power of the size-alpha test against the shift s = sqrt(n) theta_1,
     obtained by solving the sufficient-shift relation for beta."""
-    sv = shift if isinstance(shift, ShiftVector) else ShiftVector(np.asarray(shift, dtype=float))
-    if len(sv) != d:
-        raise DomainError(f"shift dimension {len(sv)} != d = {d}")
-    row = regime_row(p, alpha, d)
-    return row.power(row.shift_sum(sv.entries)(1.0) / row.kappa(d))
+    row, total = _shift_row(p, d, alpha, shift)
+    return row.power(total / row.kappa)
 
 
 @dataclass(frozen=True)
@@ -291,7 +279,7 @@ def feasibility(plan: TestPlan, slack: float = 0.0) -> Feasibility:
     u = plan.direction
     d0 = int(np.count_nonzero(u == 0.0))
     row = regime_row(plan.p, plan.alpha, d)
-    K, kappa, f0 = row.K(plan.beta), row.kappa(d), row.f_at_zero
+    K, kappa, f0 = row.K(plan.beta), row.kappa, row.f_at_zero
     thr = d - (K * kappa - d * f0) / (row.f_at_inf - f0)
     if math.isinf(row.f_at_inf):
         detail = "p >= 0: every nonzero direction is feasible"
@@ -316,9 +304,9 @@ def as_shift_scale(plan: TestPlan, slack: float = 0.0) -> float:
                    f"K*kappa/f_sup = {plan.d - feas.threshold:.6g} > d")
         else:
             why = f"direction infeasible: d_0={feas.d0} exceeds threshold {feas.threshold:.6g}"
-        raise InfeasibleError(f"p={plan.p.value}: {why} ({feas.detail})", feas.threshold, feas.d0)
+        raise InfeasibleError(f"p={plan.p}: {why} ({feas.detail})", feas.threshold, feas.d0)
     row = regime_row(plan.p, plan.alpha, plan.d)
-    target = row.K(plan.beta) * row.kappa(plan.d)
+    target = row.K(plan.beta) * row.kappa
     shift_sum = row.shift_sum(plan.theta1)
 
     def g(t):
@@ -344,9 +332,5 @@ def sample_size(plan: TestPlan, slack: float = 0.0) -> int:
 def as_shift_residual(p, d: int, alpha: float, beta: float, s) -> float:
     """(sum_j f_p(s_j) - K kappa_p(d)) / kappa_p(d): zero iff s satisfies the
     sufficient-shift equation; the sign says over- vs under-powered."""
-    sv = s if isinstance(s, ShiftVector) else ShiftVector(np.asarray(s, dtype=float))
-    if len(sv) != d:
-        raise DomainError(f"shift dimension {len(sv)} != d = {d}")
-    row = regime_row(p, alpha, d)
-    kappa = row.kappa(d)
-    return (row.shift_sum(sv.entries)(1.0) - row.K(beta) * kappa) / kappa
+    row, total = _shift_row(p, d, alpha, s)
+    return (total - row.K(beta) * row.kappa) / row.kappa

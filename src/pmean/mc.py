@@ -20,7 +20,7 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 
 from .hypotest import _abs_pmean_rows, _power_sums, pmean_rows
-from .moments import ExtendedP, limit_law
+from .moments import extended_p, limit_law
 from .numcore import ConfigError, DomainError, RngStream
 
 Z95 = 1.959963984540054
@@ -87,14 +87,14 @@ def _proportion_result(count: int, reps: int, rng: RngStream) -> MCResult:
     return MCResult(est, hw, reps, rng.seed, rng.stream)
 
 
-def _exceedances(eps: Sequence[ExtendedP], crits: Sequence[float], shift, d: int, reps: int,
+def _exceedances(ps: Sequence[float], crits: Sequence[float], shift, d: int, reps: int,
                  rng: RngStream, threads: int) -> np.ndarray:
     """Per p, the number of draws with <Z + shift>_p > crit (shift None: zero)."""
 
     def rows(z: np.ndarray) -> list:
         if shift is not None:
             z += shift
-        return [np.count_nonzero(t > c) for t, c in zip(_stat_rows_multi(eps, z), crits)]
+        return [np.count_nonzero(t > c) for t, c in zip(_stat_rows_multi(ps, z), crits)]
 
     return np.sum(_draw_chunks(rows, rng, reps, d, threads), axis=0)
 
@@ -106,15 +106,15 @@ def empirical_power(p, d: int, shift, c: float, reps: int, rng: RngStream,
     s = np.asarray(shift, dtype=float)
     if s.shape != (d,):
         raise DomainError(f"shift must have dimension d={d}")
-    count = _exceedances([ExtendedP.of(p)], [c], s, d, reps, rng, threads)[0]
+    count = _exceedances([extended_p(p)], [c], s, d, reps, rng, threads)[0]
     return _proportion_result(int(count), reps, rng)
 
 
 def empirical_critval(p, d: int, alpha: float, reps: int, rng: RngStream,
                       threads: int = 1) -> MCResult:
     """Empirical (1-alpha)-quantile of <Z>_p, CI from binomial order statistics."""
-    ep = ExtendedP.of(p)
-    return empirical_critval_multi([ep], d, alpha, reps, rng, threads)[ep.value]
+    pv = extended_p(p)
+    return empirical_critval_multi([pv], d, alpha, reps, rng, threads)[pv]
 
 
 def _upper_quantile(stats: np.ndarray, alpha: float, rng: RngStream) -> MCResult:
@@ -129,9 +129,10 @@ def _upper_quantile(stats: np.ndarray, alpha: float, rng: RngStream) -> MCResult
     return MCResult(float(stats[k]), float(hi - lo) / 2.0, reps, rng.seed, rng.stream)
 
 
-def _stat_rows_multi(eps: Sequence[ExtendedP], z: np.ndarray) -> list[np.ndarray]:
-    """<.>_p row statistics of z for several p; z is overwritten by |z|."""
-    return _abs_pmean_rows([ep.value for ep in eps], np.abs(z, out=z))
+def _stat_rows_multi(ps: Sequence[float], z: np.ndarray) -> list[np.ndarray]:
+    """<.>_p row statistics of z for several p from ``extended_p``; z is
+    overwritten by |z|."""
+    return _abs_pmean_rows(ps, np.abs(z, out=z))
 
 
 def empirical_critval_multi(ps: Sequence, d: int, alpha: float, reps: int,
@@ -141,10 +142,10 @@ def empirical_critval_multi(ps: Sequence, d: int, alpha: float, reps: int,
     _check_reps(reps)
     if not 0.0 < alpha < 1.0:
         raise DomainError(f"alpha must be in (0,1), got {alpha}")
-    eps = [ExtendedP.of(p) for p in ps]
-    parts = _draw_chunks(lambda z: _stat_rows_multi(eps, z), rng, reps, d, threads)
-    return {ep.value: _upper_quantile(np.concatenate([part[j] for part in parts]), alpha, rng)
-            for j, ep in enumerate(eps)}
+    pvs = [extended_p(p) for p in ps]
+    parts = _draw_chunks(lambda z: _stat_rows_multi(pvs, z), rng, reps, d, threads)
+    return {pv: _upper_quantile(np.concatenate([part[j] for part in parts]), alpha, rng)
+            for j, pv in enumerate(pvs)}
 
 
 def empirical_size_multi(ps: Sequence, d: int, crit: dict, reps: int, rng: RngStream,
@@ -153,11 +154,10 @@ def empirical_size_multi(ps: Sequence, d: int, crit: dict, reps: int, rng: RngSt
     (one pass over Z; the per-p estimates are then positively correlated but
     individually unbiased with the usual binomial CI)."""
     _check_reps(reps)
-    eps = [ExtendedP.of(p) for p in ps]
-    crits = [float(crit[ep.value]) for ep in eps]
-    totals = _exceedances(eps, crits, None, d, reps, rng, threads)
-    return {ep.value: _proportion_result(int(totals[j]), reps, rng)
-            for j, ep in enumerate(eps)}
+    pvs = [extended_p(p) for p in ps]
+    crits = [float(crit[pv]) for pv in pvs]
+    totals = _exceedances(pvs, crits, None, d, reps, rng, threads)
+    return {pv: _proportion_result(int(totals[j]), reps, rng) for j, pv in enumerate(pvs)}
 
 
 def ks_distance(samples, cdf) -> float:
@@ -191,7 +191,7 @@ def limit_law_ks(p, d: int, nrep: int, rng: RngStream, threads: int = 1) -> Limi
     endpoints), centered and scaled as the regime's ``moments.limit_law`` says.
     """
     _check_reps(nrep, 100, "nrep")
-    pv = ExtendedP.of(p).value
+    pv = extended_p(p)
     law = limit_law(pv, d)
 
     def sums(z: np.ndarray) -> np.ndarray:
@@ -251,13 +251,13 @@ def schur2_check(p, d: int, c: float, v, w, reps: int, rng: RngStream,
     if not majorizes_squares(v, w):
         raise DomainError("precondition failed: w^2 must be majorized by v^2 "
                           "(equal sums of squares, dominated sorted prefix sums)")
-    pv_res = empirical_power(p, d, v, c, reps, rng, threads=threads)
-    pw_res = empirical_power(p, d, w, c, reps, RngStream(rng.seed, rng.stream + 1),
+    pval = extended_p(p)
+    pv_res = empirical_power(pval, d, v, c, reps, rng, threads=threads)
+    pw_res = empirical_power(pval, d, w, c, reps, RngStream(rng.seed, rng.stream + 1),
                              threads=threads)
     se = math.sqrt((pv_res.half_width ** 2 + pw_res.half_width ** 2)) / Z95
     diff = pw_res.estimate - pv_res.estimate
     z = diff / se if se > 0 else 0.0
-    pval = float(ExtendedP.of(p).value)
     if abs(z) <= 3.0:
         return Schur2Result("inconclusive", pv_res, pw_res, z,
                             "difference within 3 sigma; consistent with both orderings")

@@ -52,51 +52,40 @@ class Regime(enum.Enum):
     POS_INF = "p = +inf"
 
 
-@dataclass(frozen=True)
-class ExtendedP:
-    """Exponent on the extended real line with exact regime classification."""
+def extended_p(p) -> float:
+    """p as a float on the extended real line: a DomainError on NaN, and a value
+    within BOUNDARY_EPS of a boundary snapped onto it with a warning."""
+    v = float(p)
+    if math.isnan(v):
+        raise DomainError("p must not be NaN")
+    for b in _BOUNDARIES:
+        if v != b and abs(v - b) <= BOUNDARY_EPS:
+            warnings.warn(
+                f"p={v!r} snapped to boundary {b}; boundary regimes have "
+                f"their own rates", stacklevel=2)
+            return b
+    return v
 
-    value: float
 
-    @staticmethod
-    def of(p) -> "ExtendedP":
-        if isinstance(p, ExtendedP):
-            return p
-        v = float(p)
-        if math.isnan(v):
-            raise DomainError("p must not be NaN")
-        for b in _BOUNDARIES:
-            if v != b and abs(v - b) <= BOUNDARY_EPS:
-                warnings.warn(
-                    f"p={v!r} snapped to boundary {b}; boundary regimes have "
-                    f"their own rates", stacklevel=2)
-                v = b
-                break
-        return ExtendedP(v)
-
-    @property
-    def regime(self) -> Regime:
-        v = self.value
-        if v == -math.inf:
-            return Regime.NEG_INF
-        if v == math.inf:
-            return Regime.POS_INF
-        if v == -1.0:
-            return Regime.NEG_ONE
-        if v == -0.5:
-            return Regime.NEG_HALF
-        if v == 0.0:
-            return Regime.ZERO
-        if v < -1.0:
-            return Regime.BELOW_NEG_ONE
-        if v < -0.5:
-            return Regime.NEG_ONE_TO_NEG_HALF
-        if v < 0.0:
-            return Regime.NEG_HALF_TO_ZERO
-        return Regime.ZERO_TO_INF
-
-    def __float__(self) -> float:
-        return self.value
+def regime_of(v: float) -> Regime:
+    """The regime of an exponent from ``extended_p``, by exact comparison."""
+    if v == -math.inf:
+        return Regime.NEG_INF
+    if v == math.inf:
+        return Regime.POS_INF
+    if v == -1.0:
+        return Regime.NEG_ONE
+    if v == -0.5:
+        return Regime.NEG_HALF
+    if v == 0.0:
+        return Regime.ZERO
+    if v < -1.0:
+        return Regime.BELOW_NEG_ONE
+    if v < -0.5:
+        return Regime.NEG_ONE_TO_NEG_HALF
+    if v < 0.0:
+        return Regime.NEG_HALF_TO_ZERO
+    return Regime.ZERO_TO_INF
 
 
 # ---------------------------------------------------------------------------
@@ -404,13 +393,13 @@ _LAWS = {
 def limit_law(p, d: int) -> LimitLaw:
     """The law, centering and scale of the statistic for the regime containing
     p; a DomainError where the center or the scale leaves the doubles."""
-    ep = ExtendedP.of(p)
+    v = extended_p(p)
     try:
-        law = _LAWS[ep.regime](ep.value, d)
+        law = _LAWS[regime_of(v)](v, d)
     except OverflowError:   # d^|p|, the scale of the p < -1 rows
         law = None
     if law is None or not (math.isfinite(law.center) and math.isfinite(law.scale)):
-        raise DomainError(f"p={ep.value:g}, d={d}: the limit law's center or scale leaves the doubles")
+        raise DomainError(f"p={v:g}, d={d}: the limit law's center or scale leaves the doubles")
     return law
 
 
@@ -418,8 +407,9 @@ def limit_law(p, d: int) -> LimitLaw:
 class RegimeRow:
     """One row of the regime table at (p, d, alpha).
 
-    Asymptotically sufficient shifts s satisfy sum_j f(s_j) ~ K(beta) kappa(d);
-    ``power`` inverts K, giving the power reached at R = sum_j f(s_j) / kappa(d),
+    Asymptotically sufficient shifts s satisfy sum_j f(s_j) ~ K(beta) kappa,
+    with kappa = kappa_p(d) at the row's d; ``power`` inverts K, giving the
+    power reached at R = sum_j f(s_j) / kappa,
     and ``critical`` gives the asymptotic size-alpha critical value in <.>_p
     units.  ``f`` maps an array of shifts elementwise.
     """
@@ -429,7 +419,7 @@ class RegimeRow:
     d: int
     alpha: float
     f: Callable[[np.ndarray], np.ndarray]
-    kappa: Callable[[int], float]
+    kappa: float
     law: LimitLaw
     K: Callable[[float], float]
     power: Callable[[float], float]
@@ -488,7 +478,7 @@ def _row_neg_inf(p, d, alpha, law):
         _check_beta(alpha, beta)
         return math.log(beta) / math.log(alpha)
 
-    return dict(f=_exponential_f, kappa=float, K=K, power=lambda R: alpha ** R,
+    return dict(f=_exponential_f, kappa=float(d), K=K, power=lambda R: alpha ** R,
                 critical=lambda: -math.log(alpha) * math.sqrt(2.0 * math.pi) / (2.0 * d),
                 f_at_zero=1.0, f_at_inf=0.0)
 
@@ -498,14 +488,14 @@ def _row_below_neg_one(p, d, alpha, law):
         _check_beta(alpha, beta)
         return (law.quantile(beta) / law.quantile(alpha)) ** (1.0 / p)
 
-    return dict(f=_exponential_f, kappa=float, K=K,
+    return dict(f=_exponential_f, kappa=float(d), K=K,
                 power=lambda R: float(law.cdf(law.quantile(alpha) * R ** p)),
                 critical=_sum_critical(p, d, alpha, law), f_at_zero=1.0, f_at_inf=0.0)
 
 
 def _bounded(p, d, alpha, law, kappa, rise, sigma):
     """Rows p in [-1, 0): f = m(0) - m(s) = -rise(s) for the row's batched shift
-    moment m, rising to its bound m(0) = law.center; sigma = law.scale / kappa(d)."""
+    moment m, rising to its bound m(0) = law.center; sigma = law.scale / kappa."""
     return dict(f=lambda s: 0.0 - rise(s), kappa=kappa,     # +0, not -0, at s = 0
                 critical=_sum_critical(p, d, alpha, law), f_at_inf=law.center,
                 **_additive(law, sigma, alpha))
@@ -514,7 +504,7 @@ def _bounded(p, d, alpha, law, kappa, rise, sigma):
 def _unbounded(p, d, alpha, law, rise):
     """Rows p in [0, inf): f = m(s) - m(0) = rise(s) for the row's batched shift
     moment m, unbounded, with the CLT rate sqrt(d)."""
-    return dict(f=np.square if p == 2.0 else rise, kappa=math.sqrt,
+    return dict(f=np.square if p == 2.0 else rise, kappa=math.sqrt(d),
                 critical=_sum_critical(p, d, alpha, law),
                 **_additive(law, law.scale / math.sqrt(d), alpha))
 
@@ -528,7 +518,7 @@ def _row_pos_inf(p, d, alpha, law):
         return math.log1p(-alpha) - math.log1p(-beta)
 
     return dict(f=lambda s: -_log_prob_abs_le(c, s) - lam0,
-                kappa=lambda dd: 1.0, K=K,
+                kappa=1.0, K=K,
                 power=lambda R: 1.0 - (1.0 - alpha) * math.exp(-R), critical=lambda: c)
 
 
@@ -536,14 +526,13 @@ _ROWS = {
     Regime.NEG_INF: _row_neg_inf,
     Regime.BELOW_NEG_ONE: _row_below_neg_one,
     Regime.NEG_ONE: lambda p, d, a, law: _bounded(
-        p, d, a, law, float, lambda s: _mu_tilde_batch(d, s) - law.center, 1.0),
+        p, d, a, law, float(d), lambda s: _mu_tilde_batch(d, s) - law.center, 1.0),
     Regime.NEG_ONE_TO_NEG_HALF: lambda p, d, a, law: _bounded(
-        p, d, a, law, lambda dd: float(dd) ** abs(p), _lambda_p_rise(p), 1.0),
+        p, d, a, law, float(d) ** abs(p), _lambda_p_rise(p), 1.0),
     Regime.NEG_HALF: lambda p, d, a, law: _bounded(
-        p, d, a, law, lambda dd: math.sqrt(dd * math.log(dd)),
-        _lambda_p_rise(p), _NEG_HALF_SIGMA),
+        p, d, a, law, math.sqrt(d * math.log(d)), _lambda_p_rise(p), _NEG_HALF_SIGMA),
     Regime.NEG_HALF_TO_ZERO: lambda p, d, a, law: _bounded(
-        p, d, a, law, math.sqrt, _lambda_p_rise(p), law.scale / math.sqrt(d)),
+        p, d, a, law, math.sqrt(d), _lambda_p_rise(p), law.scale / math.sqrt(d)),
     Regime.ZERO: lambda p, d, a, law: _unbounded(
         p, d, a, law, _series_rise(_log_mean_batch, law.center, 0.5, _LOG_SERIES)),
     Regime.ZERO_TO_INF: lambda p, d, a, law: _unbounded(
@@ -556,7 +545,7 @@ def regime_row(p, alpha: float, d: int) -> RegimeRow:
     """The row of the regime table containing p, at dimension d and size alpha."""
     if not 0.0 < alpha < 1.0:
         raise DomainError(f"alpha must be in (0,1), got {alpha}")
-    ep = ExtendedP.of(p)
-    law = limit_law(ep, d)
-    return RegimeRow(ep.regime, ep.value, d, alpha, law=law,
-                     **_ROWS[ep.regime](ep.value, d, alpha, law))
+    v = extended_p(p)
+    regime = regime_of(v)
+    law = limit_law(v, d)
+    return RegimeRow(regime, v, d, alpha, law=law, **_ROWS[regime](v, d, alpha, law))

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from mpmath import libmp
 
-from pmean.hypotest import (CriticalValue, InfeasibleError, ShiftVector, TestPlan,
+from pmean.hypotest import (CriticalValue, InfeasibleError, TestPlan,
                             _power_sums,
                             as_shift_residual, as_shift_scale, critical_value, decide,
                             feasibility, pmean, pmean_rows, power_asymptotic,
@@ -475,11 +475,26 @@ class TestResidual:
 
 
 class TestTypes:
-    def test_shift_vector_d0(self):
-        sv = ShiftVector(np.array([1.0, 0.0, -2.0, 0.0]))
-        assert sv.d0 == 2 and len(sv) == 4
-        with pytest.raises(DomainError):
-            ShiftVector(np.array([]))
+    def test_shift_shape_rejected(self):
+        # the shift must be a nonempty 1-D vector of dimension d
+        for shift in (np.array([]), np.ones((2, 2)), np.ones(3)):
+            with pytest.raises(DomainError):
+                power_asymptotic(2.0, 4, 0.05, shift)
+            with pytest.raises(DomainError):
+                as_shift_residual(2.0, 4, 0.05, 0.8, shift)
+        assert power_asymptotic(2.0, 4, 0.05, [1.0, 0.0, -2.0, 0.0]) > 0.05
+
+    def test_snapped_p_warns_once(self):
+        with warnings.catch_warnings(record=True) as w:
+            warnings.simplefilter("always")
+            cv = critical_value(-0.5 + 1e-14, 100, 0.05)
+        assert [str(x.message).count("snapped") for x in w] == [1]
+        assert cv.value == critical_value(-0.5, 100, 0.05).value
+
+    def test_plan_p_is_float(self):
+        with pytest.warns(UserWarning, match="snapped"):
+            plan = TestPlan(-1.0 + 1e-13, 4, 0.05, 0.8, np.ones(4))
+        assert plan.p == -1.0 and type(plan.p) is float
 
     def test_plan_validation(self):
         with pytest.raises(DomainError):

@@ -7,10 +7,10 @@ import numpy as np
 import pytest
 from scipy.special import ndtr
 
-from pmean.moments import (LOG_MEAN_ZERO, LOG_VAR_ZERO, ExtendedP, Regime, _lambda_p_batch,
-                           _log_mean_batch, _mu_tilde_batch, b_p, c_crit_inf, lambda_inf,
-                           lambda_p, lambda_p_zero, lambda_pm, limit_law, log_moment,
-                           mu_tilde, regime_row)
+from pmean.moments import (LOG_MEAN_ZERO, LOG_VAR_ZERO, Regime, _lambda_p_batch,
+                           _log_mean_batch, _mu_tilde_batch, b_p, c_crit_inf, extended_p,
+                           lambda_inf, lambda_p, lambda_p_zero, lambda_pm, limit_law,
+                           log_moment, mu_tilde, regime_of, regime_row)
 from pmean.numcore import DomainError, gauss_expect
 
 SQRT_2_OVER_PI = math.sqrt(2 / math.pi)
@@ -326,6 +326,8 @@ class TestLambdaInf:
 
 
 class TestExtendedP:
+    """``extended_p`` and ``regime_of``: the exponent as a plain float."""
+
     def test_regimes_exhaustive(self):
         cases = {
             -math.inf: Regime.NEG_INF, -3.0: Regime.BELOW_NEG_ONE, -1.0: Regime.NEG_ONE,
@@ -334,18 +336,18 @@ class TestExtendedP:
             math.inf: Regime.POS_INF,
         }
         for v, reg in cases.items():
-            assert ExtendedP.of(v).regime is reg
+            assert regime_of(extended_p(v)) is reg
 
     def test_boundary_snap_warns(self):
         with warnings.catch_warnings(record=True) as w:
             warnings.simplefilter("always")
-            ep = ExtendedP.of(-0.5 + 1e-14)
-        assert ep.value == -0.5
+            v = extended_p(-0.5 + 1e-14)
+        assert v == -0.5 and type(v) is float
         assert any("snapped" in str(x.message) for x in w)
 
     def test_nan_rejected(self):
         with pytest.raises(DomainError):
-            ExtendedP.of(float("nan"))
+            extended_p(float("nan"))
 
 
 class TestRegimeTable:
@@ -374,8 +376,7 @@ class TestRegimeTable:
 
     def test_kappa_positive_nondecreasing(self):
         for p in (-math.inf, -2.0, -1.0, -0.7, -0.5, -0.25, 0.0, 1.0, math.inf):
-            row = regime_row(p, 0.05, 100)
-            ks = [row.kappa(d) for d in (10, 100, 1000)]
+            ks = [regime_row(p, 0.05, d).kappa for d in (10, 100, 1000)]
             assert ks[0] > 0 and ks[0] <= ks[1] <= ks[2]
 
     def test_d_capture(self):
@@ -441,7 +442,7 @@ class TestRegimeTable:
     def test_neg_half_needs_d_at_least_2(self):
         with pytest.raises(DomainError, match="vanishes at d=1"):
             regime_row(-0.5, 0.05, 1)
-        assert regime_row(-0.5, 0.05, 2).kappa(2) > 0.0
+        assert regime_row(-0.5, 0.05, 2).kappa > 0.0
 
     def test_b_p(self):
         assert b_p(-1.0) == -SQRT_2_OVER_PI
