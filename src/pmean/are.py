@@ -74,9 +74,10 @@ def a_p(p) -> float:
 
 
 def a_p_moment_route(p: float) -> float:
-    """a_p via the sufficient-shift constants: (K_2/K_p) |p| lambda_p(0) / 2,
-    with the lambda pieces evaluated by quadrature (independent of the Gamma
-    route up to the normal quantiles)."""
+    """a_p via the sufficient-shift constants: (K_2/K_p) |p| lambda_p(0) / 2, with
+    K_2/K_p = sqrt(2 / (lambda_2p(0) - lambda_p(0)^2)).  The moments at s = 0 come
+    from their closed form 2^{p/2} Gamma((p+1)/2) / sqrt(pi), so this checks the
+    algebra of the Gamma-ratio route in ``a_p``, not its Gamma values."""
     if not (-0.5 < p) or p == 0.0 or not math.isfinite(p):
         raise DomainError("moment route needs finite p in (-1/2, inf), p != 0")
     lam_p0 = lambda_p(p, 0.0)
@@ -226,30 +227,31 @@ class DirectionSequence:
         return u
 
 
+def _blocks(k: Callable[[int], int]) -> DirectionSequence:
+    """u(d) with k(d) equal coordinates sqrt(d / k(d)), clipped to [1, d], and
+    zeros elsewhere."""
+    def gen(d):
+        kd = max(1, min(d, k(d)))
+        u = np.zeros(d)
+        u[:kd] = math.sqrt(d / kd)
+        return u
+
+    return DirectionSequence(gen)
+
+
 def equalized_sequence() -> DirectionSequence:
-    return DirectionSequence(lambda d: np.ones(d))
+    return _blocks(lambda d: d)
 
 
 def spike_sequence() -> DirectionSequence:
-    def gen(d):
-        u = np.zeros(d)
-        u[0] = math.sqrt(d)
-        return u
-    return DirectionSequence(gen)
+    return _blocks(lambda d: 1)
 
 
 def block_sequence(gamma: float) -> DirectionSequence:
     """u(d) with ceil(d^gamma) equal coordinates and zeros elsewhere."""
     if not 0.0 <= gamma <= 1.0:
         raise DomainError(f"block exponent must be in [0,1], got {gamma}")
-
-    def gen(d):
-        k = max(1, min(d, int(math.ceil(d ** gamma))))
-        u = np.zeros(d)
-        u[:k] = math.sqrt(d / k)
-        return u
-
-    return DirectionSequence(gen)
+    return _blocks(lambda d: int(math.ceil(d ** gamma)))
 
 
 @dataclass(frozen=True)
@@ -366,14 +368,7 @@ def attaining_sequence(p: float, target: float, alpha: float, beta: float) -> Di
     # the ratio runs from a_p at s -> 0 monotonically to 0 (p < 2) or to
     # infinity (p > 2)
     f_star = f_at(find_root(gap, math.log(1e-3), 0.0, tol=1e-12))
-
-    def gen(d):
-        k = max(1, min(d, int(round(Kp * math.sqrt(d) / f_star))))
-        u = np.zeros(d)
-        u[:k] = math.sqrt(d / k)
-        return u
-
-    return DirectionSequence(gen)
+    return _blocks(lambda d: int(round(Kp * math.sqrt(d) / f_star)))
 
 
 # ---------------------------------------------------------------------------

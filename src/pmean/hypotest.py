@@ -90,8 +90,8 @@ def _geometric_mean(az: np.ndarray, buf: np.ndarray) -> np.ndarray:
     return np.ldexp(np.exp((r * math.log(2.0) + s) / d), q)
 
 
-def _root_mean(pv: float, d: int, s: np.ndarray, k: np.ndarray) -> np.ndarray:
-    """2^-k (s / d)^(1/p) per row, the p-mean from ``_power_sums``; inf past the
+def _root_mean(pv: float, d: int, s: np.ndarray, k: np.ndarray, m) -> np.ndarray:
+    """m 2^-k (s / d)^(1/p) per row, the p-mean from ``_power_sums``; inf past the
     doubles, where an infinite coordinate can take it at p < 0."""
     # 1/p = inv + inv_lo to double-double (int / int rounds correctly), and
     # x^inv_lo = 1 + inv_lo ln x keeps the root accurate where |ln x| is large
@@ -103,7 +103,8 @@ def _root_mean(pv: float, d: int, s: np.ndarray, k: np.ndarray) -> np.ndarray:
         rows = np.power(mean, inv)
         if inv_lo:
             np.add(rows, rows * (inv_lo * np.log(mean)), out=rows, where=rows < math.inf)
-        return np.ldexp(rows, -k)
+        rows = np.ldexp(rows, -k)
+        return rows if m is None else rows * m
 
 
 # az^p into the scratch array t, by multiplication or sqrt where p allows
@@ -121,18 +122,20 @@ _POWERS = {
 _DIRECT_FLOOR = 2.0 ** -960
 
 
-def _power_sums(pv: float, az: np.ndarray, buf: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(s, k) with sum_j az_j^p = 2^(-k p) s per row of the nonnegative 2-D array
-    az, for finite p != 0; buf is scratch of az's shape.  A row is
+def _power_sums(pv: float, az: np.ndarray, buf: np.ndarray) -> tuple:
+    """(s, k, m) with sum_j az_j^p = (m 2^-k)^p s per row of the nonnegative 2-D
+    array az, for finite p != 0; buf is scratch of az's shape.  A row is
     summed directly, pairwise by ``sum(axis=1)`` (k = 0), or, if that sum is not
     finite or is below 2^-960, again on az 2^k, the exact scaling that puts its
     max (p > 0) or min (p < 0) in [1/2, 1), enough for |p| <= 960.  Where that is
     0 or inf, so is the p-mean: (s, k) = (d, +-2^30), and 2^(-k p) is 0 or inf
-    past |p| = 1e-6."""
+    past |p| = 1e-6.  A row whose sum still leaves the doubles is divided by
+    that coordinate m (k = 0), whose term is then exactly 1, so s lies in
+    [1, d].  m is None, 1 on every row, when no row needs that."""
     power = _POWERS.get(pv, lambda az, t: np.power(az, pv, out=t))
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         s = power(az, buf).sum(axis=1)
-    k = np.zeros(s.shape, dtype=np.int32)
+    k, m = np.zeros(s.shape, dtype=np.int32), None
     slow = ~((s >= _DIRECT_FLOOR) & (s < math.inf))
     if slow.any():
         a = az[slow]
@@ -143,9 +146,15 @@ def _power_sums(pv: float, az: np.ndarray, buf: np.ndarray) -> tuple[np.ndarray,
         edge = (top == 0.0) | (top == math.inf)
         k[slow] = np.where(edge, np.where(top == 0.0, 1 << 30, -1 << 30), -e)
         s[slow] = t = np.where(edge, az.shape[1], t)
-        if np.any((t < _DIRECT_FLOOR) | (t == math.inf)):
-            raise DomainError(f"p={pv:g}: a row's p-th powers leave the doubles even rescaled")
-    return s, k
+        far = (t < _DIRECT_FLOOR) | (t == math.inf)
+        if far.any():
+            rows = np.flatnonzero(slow)[far]
+            m = np.ones(s.shape)
+            m[rows] = top[far]
+            with np.errstate(over="ignore"):
+                s[rows] = power(a[far] / top[far, None], buf[:len(rows)]).sum(axis=1)
+            k[rows] = 0
+    return s, k, m
 
 
 def decide(p, c: float, n: int, sample_mean) -> bool:

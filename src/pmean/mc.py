@@ -202,8 +202,9 @@ def limit_law_ks(p, d: int, nrep: int, rng: RngStream, threads: int = 1) -> Limi
         with np.errstate(divide="ignore", over="ignore"):
             if pv == 0.0:
                 return np.log(az, out=az).sum(axis=1)
-            s, k = _power_sums(pv, az, np.empty_like(az))
-            return s * np.exp2(-pv * k)
+            s, k, m = _power_sums(pv, az, np.empty_like(az))
+            t = s * np.exp2(-pv * k)
+            return t if m is None else t * m ** pv
 
     t = np.concatenate(_draw_chunks(sums, rng, nrep, d, threads))
     stat = (t - d * law.center) / law.scale

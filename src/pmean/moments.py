@@ -156,6 +156,24 @@ def _lambda_p_rise(p: float) -> Callable[[np.ndarray], np.ndarray]:
                         np.cumprod((j - 0.5 * p) / ((j + 0.5) * (j + 1.0))))
 
 
+@lru_cache(maxsize=64)
+def _mu_tilde_rise(d: int, mu0: float) -> Callable[[np.ndarray], np.ndarray]:
+    """s -> mu_tilde_d(s) - mu0, mu0 = mu_tilde_d(0): coef_k = Sum_{j<=k} M_2j (-2)^j
+    / ((2j)! (k-j)!), M_0 = mu0, from the even moments M_2j = E[(|Z|^{-1} /\\ d) Z^2j]
+    = 2 (core + tail) / sqrt(2 pi).  With x = 1/(2 d^2), the core d Int_0^{1/d} y^2j phi
+    is (2x)^j Sum_m (-x)^m / (m! (2j+2m+1)), and the tail Int_{1/d}^inf y^(2j-1) phi is
+    2^(j-1) (j-1)! e^-x Sum_{i<j} x^i / i!."""
+    x, j, i = 0.5 / d / d, np.arange(1.0, 13.0), np.arange(30.0)
+    inv_fact = 1.0 / np.cumprod(np.maximum(i, 1.0))     # 1 / i!
+    x_i = x ** i * inv_fact
+    core = (2.0 * x) ** j * ((-1.0) ** i * x_i / (2.0 * (j[:, None] + i) + 1.0)).sum(axis=1)
+    tail = np.cumprod(np.maximum(2.0 * (j - 1.0), 1.0)) * math.exp(-x) * np.cumsum(x_i)[:12]
+    m2j = 2.0 * (core + tail) / SQRT_2PI
+    terms = np.r_[mu0, m2j * (-2.0) ** j / np.cumprod((2.0 * j - 1.0) * 2.0 * j)]
+    coef = np.convolve(terms, inv_fact[:13])[1:13]
+    return _series_rise(lambda s: _mu_tilde_batch(d, s), mu0, 1.0, coef)
+
+
 def _gauss_rule(s: np.ndarray, near: Callable, far: Callable) -> np.ndarray:
     """A Gaussian moment E g(Z + s) elementwise over s >= 0, BLOCK shifts at a
     time: ``near(column)`` for s <= GAUSS_TAIL_RADIUS, where the rule runs in
@@ -526,7 +544,7 @@ _ROWS = {
     Regime.NEG_INF: _row_neg_inf,
     Regime.BELOW_NEG_ONE: _row_below_neg_one,
     Regime.NEG_ONE: lambda p, d, a, law: _bounded(
-        p, d, a, law, float(d), lambda s: _mu_tilde_batch(d, s) - law.center, 1.0),
+        p, d, a, law, float(d), _mu_tilde_rise(d, law.center), 1.0),
     Regime.NEG_ONE_TO_NEG_HALF: lambda p, d, a, law: _bounded(
         p, d, a, law, float(d) ** abs(p), _lambda_p_rise(p), 1.0),
     Regime.NEG_HALF: lambda p, d, a, law: _bounded(

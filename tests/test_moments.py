@@ -435,6 +435,19 @@ class TestRegimeTable:
         zero = float(regime_row(0.0, 0.05, 1000).f(0.0))
         assert zero == 0.0 and math.copysign(1.0, zero) == 1.0
 
+    @pytest.mark.parametrize("d", [10, 1000, 10**6])
+    def test_mu_tilde_row_relative_near_zero(self, d):
+        # the p = -1 twin: f = mu_tilde_d(0) - mu_tilde_d(s) cancels to eps / s^2,
+        # and is held to the same bound of 2e-15 against 40-digit mpmath
+        s = np.array([0.0999, 1e-2, 1e-3, 1e-5, 1e-7, 1e-9])
+        got = regime_row(-1.0, 0.05, d).f(s)
+        with mpmath.workdps(40):
+            want = [_mp_mu_tilde(d, 0) - _mp_mu_tilde(d, v) for v in s]
+            err = [float(abs(g - w) / w) for g, w in zip(got, want)]
+        assert max(err) <= 2e-15, err
+        zero = float(regime_row(-1.0, 0.05, d).f(0.0))
+        assert zero == 0.0 and math.copysign(1.0, zero) == 1.0
+
     def test_alpha_beta_validation(self):
         with pytest.raises(DomainError):
             regime_row(1.0, 0.95, 10).K(0.05)
