@@ -90,7 +90,8 @@ def _geometric_mean(az: np.ndarray, buf: np.ndarray) -> np.ndarray:
     return np.ldexp(np.exp((r * math.log(2.0) + s) / d), q)
 
 
-def _root_mean(pv: float, d: int, s: np.ndarray, k: np.ndarray, m) -> np.ndarray:
+def _root_mean(pv: float, d: int, s: np.ndarray, k: np.ndarray,
+               m: Optional[np.ndarray]) -> np.ndarray:
     """m 2^-k (s / d)^(1/p) per row, the p-mean from ``_power_sums``; inf past the
     doubles, where an infinite coordinate can take it at p < 0."""
     # 1/p = inv + inv_lo to double-double (int / int rounds correctly), and
@@ -122,7 +123,8 @@ _POWERS = {
 _DIRECT_FLOOR = 2.0 ** -960
 
 
-def _power_sums(pv: float, az: np.ndarray, buf: np.ndarray) -> tuple:
+def _power_sums(pv: float, az: np.ndarray, buf: np.ndarray) -> tuple[np.ndarray, np.ndarray,
+                                                                   Optional[np.ndarray]]:
     """(s, k, m) with sum_j az_j^p = (m 2^-k)^p s per row of the nonnegative 2-D
     array az, for finite p != 0; buf is scratch of az's shape.  A row is
     summed directly, pairwise by ``sum(axis=1)`` (k = 0), or, if that sum is not

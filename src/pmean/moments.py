@@ -156,7 +156,6 @@ def _lambda_p_rise(p: float) -> Callable[[np.ndarray], np.ndarray]:
                         np.cumprod((j - 0.5 * p) / ((j + 0.5) * (j + 1.0))))
 
 
-@lru_cache(maxsize=64)
 def _mu_tilde_rise(d: int, mu0: float) -> Callable[[np.ndarray], np.ndarray]:
     """s -> mu_tilde_d(s) - mu0, mu0 = mu_tilde_d(0): coef_k = Sum_{j<=k} M_2j (-2)^j
     / ((2j)! (k-j)!), M_0 = mu0, from the even moments M_2j = E[(|Z|^{-1} /\\ d) Z^2j]
