@@ -377,6 +377,7 @@ class TestRegimeTable:
     def test_kappa_positive_nondecreasing(self):
         for p in (-math.inf, -2.0, -1.0, -0.7, -0.5, -0.25, 0.0, 1.0, math.inf):
             ks = [regime_row(p, 0.05, d).kappa for d in (10, 100, 1000)]
+            assert all(type(k) is float for k in ks)
             assert ks[0] > 0 and ks[0] <= ks[1] <= ks[2]
 
     def test_d_capture(self):
