@@ -464,6 +464,7 @@ def are_finite(p, d: int, u, alpha: float, beta: float) -> float:
         raise DomainError("u must be nonzero")
     u = u / norm
     m = int(np.count_nonzero(u == 0.0))   # u's zero coordinates
+    pv = extended_p(p)
 
     def solve_for(pp):
         def size_gap(c):
@@ -486,5 +487,5 @@ def are_finite(p, d: int, u, alpha: float, beta: float) -> float:
         return find_root(power_gap, 0.0, 1.0, tol=1e-13)
 
     t2 = solve_for(2.0)
-    tp = solve_for(extended_p(p))
+    tp = solve_for(pv)
     return t2 * t2 / (tp * tp)

@@ -7,6 +7,7 @@ import pytest
 from scipy import stats
 from scipy.special import gammaln
 
+from pmean import are
 from pmean.are import (DirectionSequence,
                        IndeterminateGrowthError, _prob_le, a_p, a_p_moment_route,
                        ap_curve, are_finite, attaining_sequence, block_sequence,
@@ -291,6 +292,11 @@ class TestProbLe:
 
 
 class TestAreFinite:
+    def test_nan_p_rejected_before_solving(self, monkeypatch):
+        monkeypatch.setattr(are, "find_root", lambda *a, **k: pytest.fail("solved first"))
+        with pytest.raises(DomainError, match="NaN"):
+            are_finite(float("nan"), 2, [1.0, 0.5], 0.05, 0.8)
+
     def test_reference_values_d2(self):
         assert abs(are_finite(1.0, 2, (1, 1), 0.05, 0.95) - 1.0317) < 2e-3
         assert abs(are_finite(2.1, 2, (math.sqrt(2), 0), 0.05, 0.95) - 1.00429) < 2e-3
