@@ -25,18 +25,14 @@ import numpy as np
 
 from . import special as sf
 from .moments import extended_p, lambda_p, regime_row
-from .numcore import (GAUSS_TAIL_RADIUS, AccuracyError, BracketError, DomainError, find_root,
-                      normal_pdf, tanh_sinh)
+from .numcore import (GAUSS_TAIL_RADIUS, AccuracyError, BracketError, DomainError,
+                      IndeterminateGrowthError, find_root, normal_pdf, tanh_sinh)
 from .hypotest import pmean
 
 # psi'(1/2), psi''(1/2), psi'''(1/2) for the ln r Taylor branch at p = 0
 _PSI1_HALF = math.pi ** 2 / 2.0
 _PSI2_HALF = -16.828762155555034   # -14 zeta(3)
 _PSI3_HALF = math.pi ** 4
-
-
-class IndeterminateGrowthError(RuntimeError):
-    """Growth-exponent regression landed inside the dead band; no verdict."""
 
 
 def _ln_r(p) -> np.ndarray:
@@ -392,8 +388,10 @@ def _prob_rows(p: float, r: np.ndarray, v: np.ndarray) -> np.ndarray:
     Gaussian peak y = |v_0|.  Past the budget edge t(y) = r the rest is
     certain, so the rule covers only the side where it is not: below the
     edge for p > 0 (above it nothing is left), above it for p < 0 (below it
-    the rest has probability 1, a closed-form normal piece).
+    the rest has probability 1, a closed-form normal piece).  Phi is scipy's
+    vectorized ``ndtr``: a plan's recursions evaluate it at some 350k nodes.
     """
+    from scipy.special import ndtr
     if p == 0.0:
         t, t_inv = np.log, np.exp
     else:
@@ -401,7 +399,7 @@ def _prob_rows(p: float, r: np.ndarray, v: np.ndarray) -> np.ndarray:
         t_inv = lambda b: np.maximum(b, 0.0) ** (1.0 / p)
     edge = t_inv(r)                # the budget edge: t(edge) = r
     s = v[0]
-    within = sf.ndtr(edge - s) - sf.ndtr(-edge - s)    # P(|Z + s| <= edge)
+    within = ndtr(edge - s) - ndtr(-edge - s)    # P(|Z + s| <= edge)
     if len(v) == 1:
         return within
     lo, hi = max(0.0, s - GAUSS_TAIL_RADIUS), s + GAUSS_TAIL_RADIUS

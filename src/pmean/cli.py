@@ -8,6 +8,10 @@ fixed seed.
 
 Exit codes: 0 success, 2 domain/configuration errors, 3 infeasibility,
 4 accuracy failures, 64 usage errors.
+
+The command line is parsed before numpy or the library is loaded, and each
+handler imports only the module it runs, so ``version``, ``--help`` and usage
+errors load neither.
 """
 
 from __future__ import annotations
@@ -19,15 +23,7 @@ import os
 import re
 import sys
 
-import numpy as np
-
 from . import __version__
-from .are import (IndeterminateGrowthError, ap_curve, are_finite, block_sequence,
-                  classify_are, equalized_sequence, spike_sequence, verify_ap_bound)
-from .hypotest import (InfeasibleError, TestPlan, as_shift_scale, critical_value,
-                       feasibility, n_for_scale, power_asymptotic)
-from .mc import empirical_critval, empirical_power, limit_law_ks, schur2_check
-from .numcore import AccuracyError, BracketError, ConfigError, DomainError, RngStream
 
 
 # The subcommands that draw random numbers, the only ones with --seed/--stream/--threads.
@@ -97,6 +93,8 @@ _SEQUENCE_FORMS = "equalized, spike or block:<gamma>"
 def _floats(spec: str, texts, forms: str) -> np.ndarray:
     """The numbers ``texts`` of the flag value ``spec``; a DomainError that
     quotes spec and the forms it may take if one is not a number."""
+    import numpy as np
+    from .numcore import DomainError
     try:
         return np.array([float(x) for x in texts], dtype=float)
     except ValueError:
@@ -106,6 +104,8 @@ def _floats(spec: str, texts, forms: str) -> np.ndarray:
 def parse_vector(spec: str, d: int) -> np.ndarray:
     """Vector inputs: comma literals, ``equalized:<t>``, ``spike:<t>``,
     ``block:<k>:<s>``, or a readable file of whitespace-separated numbers."""
+    import numpy as np
+    from .numcore import DomainError
     s = spec.strip()
     kind, _, rest = s.partition(":")
     if kind in ("equalized", "spike", "block"):
@@ -140,9 +140,10 @@ def _round12(obj):
         return {k: _round12(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [_round12(v) for v in obj]
-    if isinstance(obj, (np.floating,)):
+    np = sys.modules.get("numpy")      # no numpy scalar exists before numpy is loaded
+    if np is not None and isinstance(obj, np.floating):
         return float(f"{float(obj):.12g}")
-    if isinstance(obj, (np.integer,)):
+    if np is not None and isinstance(obj, np.integer):
         return int(obj)
     return obj
 
@@ -236,15 +237,19 @@ def build_parser() -> _Parser:
     return ap
 
 
-# One handler per subcommand: each returns (result, diagnostics[, exit code]).
+# One handler per subcommand: each returns (result, diagnostics[, exit code]),
+# and imports the one library module it runs.
 
 def _version(args):
     return {"version": __version__}, {}
 
 
 def _critval(args):
+    from .hypotest import critical_value
     p = parse_p(args.p)
     if args.method == "mc":
+        from .mc import empirical_critval
+        from .numcore import RngStream
         r = empirical_critval(p, args.d, args.alpha, args.reps,
                               RngStream(args.seed, args.stream), threads=args.threads)
         return ({"critical_value": r.estimate, "method": "mc"},
@@ -254,11 +259,13 @@ def _critval(args):
 
 
 def _power(args):
+    from .hypotest import power_asymptotic
     shift = parse_vector(args.shift, args.d)
     return {"power": power_asymptotic(parse_p(args.p), args.d, args.alpha, shift)}, {}
 
 
 def _samplesize(args):
+    from .hypotest import TestPlan, as_shift_scale, n_for_scale, power_asymptotic
     theta = parse_vector(args.theta, args.d)
     plan = TestPlan(parse_p(args.p), args.d, args.alpha, args.beta, theta)
     t = as_shift_scale(plan, slack=args.slack)
@@ -268,6 +275,7 @@ def _samplesize(args):
 
 
 def _feasible(args):
+    from .hypotest import TestPlan, feasibility
     u = parse_vector(args.u, args.d)
     f = feasibility(TestPlan(parse_p(args.p), args.d, args.alpha, args.beta, u),
                     slack=args.slack)
@@ -276,6 +284,8 @@ def _feasible(args):
 
 
 def _are(args):
+    from .are import block_sequence, classify_are, equalized_sequence, spike_sequence
+    from .numcore import DomainError
     if args.useq == "equalized":
         seq = equalized_sequence()
     elif args.useq == "spike":
@@ -291,12 +301,15 @@ def _are(args):
 
 
 def _are_finite(args):
+    from .are import are_finite
     u = parse_vector(args.u, args.d)
     return {"are": are_finite(parse_p(args.p), args.d, u, args.alpha, args.beta)}, {}
 
 
 def _p_grid(args) -> np.ndarray:
     """--from, --from + --step, ... up to --to."""
+    import numpy as np
+    from .numcore import DomainError
     if args.step <= 0.0:
         raise DomainError(f"--step must be positive, got {args.step}")
     if args.lo > args.hi:
@@ -308,12 +321,17 @@ def _p_grid(args) -> np.ndarray:
 
 
 def _ap_curve(args):
+    import numpy as np
+    from .are import ap_curve
     table = ap_curve(np.round(_p_grid(args), 9), with_transform=args.psi)
     return {"header": ["p", "a_p"] + (["psi_p", "psi_a"] if args.psi else []),
             "rows": [[float(x) for x in row] for row in table]}, {}
 
 
 def _verify_ap(args):
+    import numpy as np
+    from .are import verify_ap_bound
+    from .numcore import DomainError
     grid = _p_grid(args)
     grid = grid[(np.abs(grid) > 1e-12) & (np.abs(grid - 2.0) > 1e-12) & (grid > -0.5)]
     if grid.size == 0:
@@ -326,6 +344,10 @@ def _verify_ap(args):
 
 
 def _simulate(args):
+    import numpy as np
+    from .hypotest import critical_value
+    from .mc import empirical_critval, empirical_power
+    from .numcore import DomainError, RngStream
     p = parse_p(args.p)
     shift = np.zeros(args.d) if args.shift is None else parse_vector(args.shift, args.d)
     diag = {}
@@ -347,12 +369,16 @@ def _simulate(args):
 
 
 def _ks(args):
+    from .mc import limit_law_ks
+    from .numcore import RngStream
     fit = limit_law_ks(parse_p(args.p), args.d, args.nrep,
                        RngStream(args.seed, args.stream), threads=args.threads)
     return {"distance": fit.distance, "law": fit.law}, {}
 
 
 def _schur2_check(args):
+    from .mc import schur2_check
+    from .numcore import RngStream
     v = parse_vector(args.v, args.d)
     w = parse_vector(args.w, args.d)
     r = schur2_check(parse_p(args.p), args.d, args.c, v, w, args.reps,
@@ -408,15 +434,27 @@ def run(argv) -> int:
         return 64
     try:
         return _dispatch(args, sys.stdout)
-    except InfeasibleError as e:
-        print(f"infeasible: {e}", file=sys.stderr)
-        return 3
-    except (AccuracyError, IndeterminateGrowthError) as e:
-        print(f"accuracy: {e}", file=sys.stderr)
-        return 4
-    except (DomainError, ConfigError, BracketError, ValueError, OSError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
+    except (ValueError, RuntimeError, OSError) as e:
+        status = _failure(e)
+        if status is None:
+            raise
+        print(f"{status[1]}: {e}", file=sys.stderr)
+        return status[0]
+
+
+def _failure(e: Exception):
+    """(exit code, label) of a failed command, None for an error that is not
+    the library's.  The library's errors subclass ValueError or RuntimeError;
+    a handler that raised one has loaded the modules imported here."""
+    from .hypotest import InfeasibleError
+    from .numcore import AccuracyError, IndeterminateGrowthError
+    if isinstance(e, InfeasibleError):
+        return 3, "infeasible"
+    if isinstance(e, (AccuracyError, IndeterminateGrowthError)):
+        return 4, "accuracy"
+    if isinstance(e, (ValueError, OSError)):
+        return 2, "error"
+    return None
 
 
 def main():

@@ -27,8 +27,8 @@ from typing import Callable
 import numpy as np
 
 from . import special as sf
-from .numcore import (GAUSS_TAIL_RADIUS, SQRT_2PI, DomainError, by_blocks, gauss_expect,
-                      normal_pdf, tanh_sinh)
+from .numcore import (GAUSS_TAIL_RADIUS, SQRT_2PI, AccuracyError, DomainError, by_blocks,
+                      gauss_expect, normal_pdf, tanh_sinh)
 from .stable import EULER_GAMMA, StableLaw, stable_cdf, stable_quantile
 
 SQRT_2_OVER_PI = math.sqrt(2.0 / math.pi)
@@ -108,42 +108,108 @@ def lambda_p_zero(p: float) -> float:
 LOG_MEAN_ZERO = -0.5 * (EULER_GAMMA + math.log(2.0))
 LOG_VAR_ZERO = math.pi ** 2 / 8.0
 
-# Beyond this |s|, lambda_p takes s^p (1 + p(p-1) / (2 s^2)), the asymptotic
-# series of 1F1 to double precision while s^p is finite; hyp1f1 loses -s^2/2
-# to overflow past s ~ 1.3e154
-_LAMBDA_ASYMPTOTIC = 1e8
 # below this |s|, lambda_p(s) - lambda_p(0) and E ln|Z+s| - E ln|Z| (the p-derivative of
 # lambda_p(s) / lambda_p(0) at p = 0: coef_k = -1 / (k (1/2)_k), scale 1/2) go by series
 _LAMBDA_SERIES = 0.1
 _LOG_SERIES = -1.0 / (np.arange(1.0, 13.0) * np.cumprod(np.arange(0.5, 12.0)))
 # the u = ln|y| rule of E ln|Z+s| starts here: Int_{-inf}^{U} |u| e^u phi(0) du < 1e-17
 _LOG_U_MIN = -42.0
+# lambda_p's two series stop at a term below this fraction of their sum
+_SERIES_TOL = 2.0 ** -56
+_LN_SERIES_TOL = math.log(_SERIES_TOL)
+# the 1F1 series starts from e^-x, a normal double up to here; for p in (-1, 301.16),
+# where lambda_p(0) is a double, the asymptotic series takes every s past 10.25 (x ~ 53)
+_KUMMER_MAX_X = 700.0
+
+
+def _kummer(p: float, s: np.ndarray) -> np.ndarray:
+    """e^-x M((1+p)/2; 1/2; x) at x = s^2/2 (= M(-p/2; 1/2; -x), DLMF 13.2.39), its
+    terms all positive.  Term k is term k-1 times x (1 + p / (2k-1)) / k, a form whose
+    rounding does not repeat from term to term.  x rounds by eps/2 relative, which
+    moves the sum by about |p| eps / 4 at most: its d ln / d ln x tends to p/2."""
+    x = 0.5 * (s * s)
+    x_max = x.max()
+    if x_max > _KUMMER_MAX_X:
+        raise AccuracyError(f"E|Z+s|^p at p={p:g}: e^-s^2/2 leaves the doubles",
+                            math.nan, math.inf)
+    t = total = np.exp(-x)
+    # about the terms that reach the tolerance, then passes of 64 more if they do not
+    k = np.arange(1.0, 13.0 + 2.0 * x_max + 8.0 * math.sqrt(x_max) + abs(p) / 4.0)
+    while True:
+        c = (1.0 + p / (2.0 * k - 1.0)) / k
+        ratio = np.multiply.outer(x, c)
+        ratio[:, 0] *= t
+        terms = np.cumprod(ratio, axis=1)
+        total = total + terms.sum(axis=1)
+        t = terms[:, -1]
+        # done where the last term is past the peak and below tolerance
+        if x_max * c[-1] < 0.5 and not (t > _SERIES_TOL * total).any():
+            return total
+        k = k[-1] + np.arange(1.0, 65.0)
+
+
+def _asymptotic(p: float, s: np.ndarray) -> np.ndarray:
+    """s^p Sum_k (-p/2)_k (1/2-p/2)_k / k! x^-k at x = s^2/2 (DLMF 13.7.2), summed to
+    its smallest term among the first p/2 + 64; NaN where that term is not below
+    _SERIES_TOL of the sum or the sum overflows.  Term k is in x^-(k+1), so the rounding
+    error x_lo of x, kept by Dekker's product, moves the sum by -x_lo/x Sum_k (k+1) t_k:
+    at large p the terms up to k ~ p/2 carry the sum."""
+    r = np.minimum(s, 1e150)        # past 1e150 the sum is 1 to the last bit
+    c = 134217729.0 * r             # 2^27 + 1 splits r into 26-bit halves
+    hi = c - (c - r)
+    lo = r - hi
+    sq = r * r
+    x, x_lo = 0.5 * sq, 0.5 * (((hi * hi - sq) + 2.0 * hi * lo) + lo * lo)
+    k = np.arange(max(p, 0.0) // 2.0 + 64.0)
+    rows = np.arange(x.size)
+    with np.errstate(over="ignore", invalid="ignore"):     # a sum that overflows is NaN
+        terms = np.cumprod((k - 0.5 * p) * (k + 0.5 - 0.5 * p) / (k + 1.0) / x[:, None], axis=1)
+        j = np.argmin(np.abs(terms), axis=1)
+        total = 1.0 + np.cumsum(terms, axis=1)[rows, j]
+        moment = np.cumsum(terms * (k + 1.0), axis=1)[rows, j]
+        out = np.power(s, p) * (total - x_lo / x * moment)
+        done = np.isfinite(total) & (np.abs(terms[rows, j]) <= _SERIES_TOL * np.abs(total))
+    return np.where(done, out, np.nan)
 
 
 def _lambda_p_batch(p: float, s) -> np.ndarray:
-    """E|Z + s|^p elementwise, p > -1: 2^{p/2} Gamma((p+1)/2) / sqrt(pi)
-    1F1(-p/2; 1/2; -s^2/2) (Winkelbauer, arXiv:1209.4340)."""
+    """E|Z + s|^p elementwise, p > -1: lambda_p(0) 1F1(-p/2; 1/2; -s^2/2) (Winkelbauer,
+    arXiv:1209.4340).  The asymptotic series where it reaches _SERIES_TOL and the part
+    it leaves out, Gamma((p+1)/2) / |Gamma(-p/2)| e^-x x^-(p+1/2) of s^p, is below it;
+    the 1F1 series elsewhere."""
     s = np.abs(np.asarray(s, dtype=float))
-    out = np.empty(s.shape)
-    near = s <= _LAMBDA_ASYMPTOTIC
-    out[near] = lambda_p_zero(p) * sf.hyp1f1(-0.5 * p, 0.5, -0.5 * np.square(s[near]))
-    far = s[~near]
-    with np.errstate(over="ignore"):
-        out[~near] = np.power(far, p) * (1.0 + 0.5 * p * (p - 1.0) / far / far)
+    lam0 = lambda_p_zero(p)
+    g = sf.gammaln(0.5 * (p + 1.0)) - sf.gammaln(-0.5 * p)     # -inf at even p
+
+    x_max = 0.5 * min(float(s.max()), 1e150) ** 2 if s.size else 0.0    # NaN if s has one
+    with np.errstate(over="ignore"):        # +inf past the doubles
+        # past x = 1 the left-out part falls with x, so if the largest shift does not
+        # take the asymptotic series, none does
+        if x_max <= 1.0 or g - x_max - (p + 0.5) * math.log(x_max) >= _LN_SERIES_TOL:
+            return lam0 * by_blocks(lambda b: _kummer(p, b), s.ravel()).reshape(s.shape)
+        out = np.full(s.shape, np.nan)
+        x = 0.5 * np.square(np.minimum(s, 1e150))
+        asym = (x > 1.0) & (g - x - (p + 0.5) * np.log(np.maximum(x, 1.0)) < _LN_SERIES_TOL)
+        out[asym] = by_blocks(lambda b: _asymptotic(p, b), s[asym])
+        near = np.isnan(out) & ~np.isnan(s)
+        out[near] = lam0 * by_blocks(lambda b: _kummer(p, b), s[near])
     return out
 
 
 def _series_rise(moment: Callable, m0: float, scale: float, coef: np.ndarray) -> Callable:
-    """s -> moment(s) - m0 elementwise, m0 = moment(0); below _LAMBDA_SERIES, where
-    that loses eps / s^2, scale Sum_{k=1}^{12} coef_k (-s^2/2)^k (later terms < 1e-18)."""
+    """s -> moment(s) - m0 elementwise, m0 = moment(0), calling moment only at s >=
+    _LAMBDA_SERIES; below, where the difference loses eps / s^2, scale Sum_{k=1}^{12}
+    coef_k (-s^2/2)^k (later terms < 1e-18)."""
     def rise(s):
         s = np.abs(np.asarray(s, dtype=float))
-        out = moment(s)
-        out -= m0
         small = s < _LAMBDA_SERIES
-        if small.any():
-            x = -0.5 * np.square(s[small])
-            out[small] = scale * (np.cumprod(np.repeat(x[:, None], 12, axis=1), axis=1) @ coef)
+        if not small.any():
+            return moment(s) - m0
+        out = np.empty(s.shape)
+        x = -0.5 * np.square(s[small])
+        out[small] = scale * (np.cumprod(np.repeat(x[:, None], 12, axis=1), axis=1) @ coef)
+        if not small.all():
+            out[~small] = moment(s[~small]) - m0
         return out
 
     return rise
@@ -312,12 +378,15 @@ def c_crit_inf(d: int, alpha: float) -> float:
 
 
 def _log_prob_abs_le(c: float, s):
-    """ln P(|Z+s| <= c) elementwise, stable far into the tails."""
+    """ln P(|Z+s| <= c) = ln(e^hi - e^lo) elementwise, stable far into the tails.
+    Phi(-c-s) <= e^(-2cs) Phi(c-s), so past 2cs = 750 the difference is hi: there
+    hi and lo may round to one double, or both be -inf."""
     s = np.abs(s)
     hi = sf.log_ndtr(c - s)
     lo = sf.log_ndtr(-c - s)
-    # ln(e^hi - e^lo)
-    return hi + np.log1p(-np.exp(np.minimum(lo - hi, -1e-300)))
+    with np.errstate(invalid="ignore"):
+        gap = np.where(2.0 * c * s > 750.0, -np.inf, np.minimum(lo - hi, -1e-300))
+    return hi + np.log1p(-np.exp(gap))
 
 
 def lambda_inf(d: int, alpha: float, s: float) -> float:
@@ -357,8 +426,7 @@ class LimitLaw:
 
 
 def _normal_law(name: str, center: float, scale: float) -> LimitLaw:
-    # sf.ndtr is looked up at the first call: a critical value never loads scipy
-    return LimitLaw(name, lambda x: sf.ndtr(x), sf.ndtri, center, scale)
+    return LimitLaw(name, sf.ndtr, sf.ndtri, center, scale)
 
 
 def _stable_law(p: float, center: float, scale: float) -> LimitLaw:
@@ -460,7 +528,8 @@ def _check_beta(alpha: float, beta: float) -> None:
 
 
 def _exponential_f(s):
-    return np.exp(-0.5 * np.square(np.asarray(s, dtype=float)))
+    with np.errstate(over="ignore"):        # past s ~ 1e154, e^-inf = 0
+        return np.exp(-0.5 * np.square(np.asarray(s, dtype=float)))
 
 
 def _additive(law: LimitLaw, sigma: float, alpha: float) -> dict:

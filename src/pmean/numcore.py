@@ -43,6 +43,10 @@ class ConfigError(ValueError):
     """Configuration value outside the supported range (e.g. too few MC reps)."""
 
 
+class IndeterminateGrowthError(RuntimeError):
+    """Growth-exponent regression landed inside the dead band; no verdict."""
+
+
 SQRT_2PI = math.sqrt(2.0 * math.pi)
 
 # Half-width of the truncated integration domain: the Gaussian mass outside
@@ -125,6 +129,8 @@ BLOCK = 256
 def by_blocks(fn: Callable[[np.ndarray], np.ndarray], x: np.ndarray) -> np.ndarray:
     """fn over a 1-D array x, BLOCK entries at a time; fn maps a block to as
     many values."""
+    if 0 < x.size <= BLOCK:
+        return fn(x)
     out = np.empty(x.shape)
     for i in range(0, x.size, BLOCK):
         out[i:i + BLOCK] = fn(x[i:i + BLOCK])

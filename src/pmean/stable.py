@@ -166,8 +166,12 @@ class _Zolotarev:
         with np.errstate(over="ignore"):
             g = np.exp(-np.exp(cb + self.log_v(dl, dr)))
         m = TS_WEIGHTS.size
-        return (left[:, 0] * (g[:, :m] @ TS_WEIGHTS)
-                + right[:, 0] * (g[:, m:] @ TS_WEIGHTS)) / math.pi
+        # a product and a row sum, not a matrix-vector product: BLAS sums a
+        # block's rows in groups, so equal points in different rows could differ
+        halves = g.reshape(-1, 2, m)
+        halves *= TS_WEIGHTS
+        w = halves.sum(axis=2)
+        return (left[:, 0] * w[:, 0] + right[:, 0] * w[:, 1]) / math.pi
 
     def integral(self, c: np.ndarray) -> np.ndarray:
         return by_blocks(self._block, c)

@@ -1,6 +1,7 @@
 import math
 import warnings
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -13,7 +14,7 @@ from pmean.hypotest import (CriticalValue, InfeasibleError, TestPlan,
                             feasibility, pmean, pmean_rows, power_asymptotic,
                             sample_size)
 from pmean.mc import empirical_critval
-from pmean.moments import regime_row
+from pmean.moments import c_crit_inf, lambda_inf, regime_row
 from pmean.numcore import BracketError, ConfigError, DomainError, RngStream
 
 ALL_P = (-math.inf, -1.0, 0.0, 1.0, 2.0, 7.0, math.inf)
@@ -343,6 +344,20 @@ class TestPower:
     def test_dimension_mismatch(self):
         with pytest.raises(DomainError):
             power_asymptotic(2, 10, 0.05, np.zeros(9))
+
+    def test_infinite_rows_at_huge_shifts(self):
+        # p = +inf: ln Phi(c - s) and ln Phi(-c - s) round to one double from
+        # s ~ 8.4e16 and are both -inf past 1.9e154, where ln(e^hi - e^lo) was
+        # inf or NaN; p = -inf: e^(-s^2/2) squared s past 1e154 with a warning
+        # (warnings are errors in this suite)
+        assert power_asymptotic(math.inf, 2, 0.05, np.array([2e154, 0.0])) == 1.0
+        assert power_asymptotic(-math.inf, 2, 0.05, np.array([1e200, 1e200])) == 1.0
+        c = c_crit_inf(1000, 0.05)
+        for s in (1e17, 1e100):
+            with mpmath.workdps(40):
+                u = mpmath.mpf(s) - mpmath.mpf(c)
+                want = u * u / 2 + mpmath.log(u) + mpmath.log(2 * mpmath.pi) / 2
+            assert abs(lambda_inf(1000, 0.05, s) - want) <= 1e-15 * want
 
 
 class TestSampleSize:

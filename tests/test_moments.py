@@ -287,6 +287,64 @@ class TestBatchedKernels:
         assert peak < 16e6
 
 
+# E|Z+s|^p against 40-digit mpmath for s from 0.1 to 1e8, with points on both
+# sides of the seam where _lambda_p_batch passes from the 1F1 series to the
+# asymptotic one: within 4e-15 relative for p <= 30 and 1e-14 beyond, wherever
+# the value is a normal double.
+WIDE_P = (-0.99, -0.7, -0.3, 0.25, 1.0, 3.0, 7.3, 25.5, 50.2, 100.7, 149.0)
+
+
+def _seam(p):
+    """The shift past which _lambda_p_batch no longer sums the 1F1 series."""
+    from pmean import moments
+    calls = []
+
+    def near(s):
+        calls.clear()
+        _lambda_p_batch(p, s)
+        return bool(calls)
+
+    kummer = moments._kummer
+    moments._kummer = lambda p, s: calls.append(s) or kummer(p, s)
+    try:
+        lo, hi = 0.1, 1e3
+        assert near(lo) and not near(hi)
+        for _ in range(60):
+            mid = math.sqrt(lo * hi)
+            lo, hi = (mid, hi) if near(mid) else (lo, mid)
+    finally:
+        moments._kummer = kummer
+    return hi
+
+
+@pytest.mark.parametrize("p", WIDE_P)
+def test_lambda_p_wide_oracle(p):
+    seam = _seam(p)
+    s = np.concatenate([np.geomspace(0.1, 1e8, 81), np.linspace(0.1, 12.0, 60),
+                        seam * (1.0 + np.array([-1e-2, -1e-9, 0.0, 1e-9, 1e-2]))])
+    bound = 4e-15 if p <= 30.0 else 1e-14
+    got = _lambda_p_batch(p, s)
+    worst = 0.0
+    with mpmath.workdps(40):
+        for g, v in zip(got, s):
+            want = _mp_lambda(p, v)
+            if want <= np.finfo(float).max:
+                worst = max(worst, float(abs(g - want) / want))
+            else:
+                assert g == math.inf
+    assert worst <= bound, worst
+
+
+def test_lambda_p_series_cover_the_domain():
+    # for p in (-1, 301.16), where lambda_p(0) is a double, the asymptotic series
+    # takes every shift past 10.25, so the 1F1 series, which starts from e^-s^2/2,
+    # never raises AccuracyError; values are finite, or +inf past the doubles
+    s = np.concatenate([np.arange(0.0, 60.0, 0.25), np.geomspace(60.0, 1e300, 40)])
+    for p in np.concatenate([np.arange(-0.99, 10.0, 0.07), np.arange(10.0, 301.0, 1.37)]):
+        v = _lambda_p_batch(p, s)
+        assert np.all((v > 0.0) & ~np.isnan(v)), p
+
+
 class TestCritInf:
     def test_value(self):
         assert abs(c_crit_inf(100, 0.05) - 3.532537523990822) < 1e-12

@@ -1,3 +1,4 @@
+import json
 import math
 import re
 import subprocess
@@ -213,20 +214,19 @@ def test_find_root_nan_in_brent_is_bracket_error():
 
 
 def test_cli_import_leaves_unused_scipy_out():
-    # scipy.special loads on first use, so the import loads no scipy module at
-    # all: none of integrate, optimize, linalg, sparse, spatial, fft or special
+    # the import loads no scipy module at all: none of integrate, optimize,
+    # linalg, sparse, spatial, fft or special, and no numpy either
     code = ("import sys, pmean.cli; "
-            "print([m for m in sys.modules if m.split('.')[0] == 'scipy'])")
+            "print([m for m in sys.modules if m.split('.')[0] in ('scipy', 'numpy')])")
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          check=True)
     assert out.stdout.strip() == "[]"
 
 
 # Each command and whether a fresh process running it loads any scipy module.
-# ndtri, gammaln, gamma, erf and exp1 come from the standard library, so
-# critical values off the p = +inf row, the a_p curve and the stable rows load
-# none; ndtr on arrays (the CLT law's CDF, exact finite-d power), log_ndtr (the
-# p = +inf row) and hyp1f1 (shifted moments) are scipy's.
+# pmean.special serves every special function from the standard library and
+# moments sums E|Z+s|^p by its own series, so only the exact finite-d ARE
+# recursion, which keeps scipy's vectorized ndtr, loads scipy.
 SCIPY_LOADS = [
     (["version"], False),
     (["are", "--p", "3", "--alpha", "0.05", "--beta", "0.8", "--useq", "spike"], False),
@@ -244,13 +244,13 @@ SCIPY_LOADS = [
     (["ks", "--p", "-2", "--d", "1000", "--nrep", "200", "--seed", "3"], False),
     *[(["critval", "--p", p, "--d", "1000", "--alpha", "0.05"], False)
       for p in ("-inf", "-0.7", "-0.5", "-0.3", "0")],
-    (["power", "--p", "3", "--d", "1000", "--alpha", "0.05", "--shift", "equalized:0.12"], True),
+    (["power", "--p", "3", "--d", "1000", "--alpha", "0.05", "--shift", "equalized:0.12"], False),
     (["samplesize", "--p", "1", "--d", "1000", "--alpha", "0.05", "--beta", "0.8",
-      "--theta", "equalized:0.05"], True),
+      "--theta", "equalized:0.05"], False),
     (["are-finite", "--p", "1", "--d", "2", "--u", "1,0.5", "--alpha", "0.05", "--beta", "0.8"],
      True),
-    (["ks", "--p", "3", "--d", "100", "--nrep", "200", "--seed", "3"], True),
-    (["critval", "--p", "inf", "--d", "1000", "--alpha", "0.05"], True),
+    (["ks", "--p", "3", "--d", "100", "--nrep", "200", "--seed", "3"], False),
+    (["critval", "--p", "inf", "--d", "1000", "--alpha", "0.05"], False),
 ]
 
 
@@ -264,22 +264,54 @@ def test_cli_commands_load_scipy_special_on_first_use(argv, loads):
     assert out.stderr.split() == [str(want_code), str(loads)]
 
 
+# What a fresh process loads for a command that computes nothing, and for one
+# command per library module: each handler imports the module it runs, and
+# numpy only comes with the library.
+MODULE_LOADS = [
+    (["version"], set(), {"numpy", "pmean.numcore", "pmean.hypotest"}),
+    (["--help"], set(), {"numpy", "pmean.numcore"}),
+    (["critval", "--p", "3"], set(), {"numpy", "pmean.numcore"}),      # usage error: no --d
+    (["critval", "--p", "3", "--d", "1000", "--alpha", "0.05"], {"numpy", "pmean.hypotest"},
+     {"pmean.are", "pmean.mc", "concurrent.futures"}),
+    (["simulate", "--p", "3", "--d", "100", "--alpha", "0.05", "--reps", "2000", "--seed", "5",
+      "--shift", "equalized:0.3"], {"pmean.mc", "concurrent.futures"}, {"pmean.are"}),
+    (["ap-curve", "--from", "0", "--to", "1", "--step", "0.5", "--format", "json"],
+     {"pmean.are"}, {"pmean.mc"}),
+]
+
+
+@pytest.mark.parametrize("argv, loaded, not_loaded", MODULE_LOADS)
+def test_cli_commands_load_only_their_module(argv, loaded, not_loaded):
+    code = ("import json, sys, pmean.cli\n"
+            "try:\n    code = pmean.cli.run(sys.argv[1:])\n"
+            "except SystemExit as e:\n    code = e.code\n"
+            "print(json.dumps([code, sorted(sys.modules)]), file=sys.stderr)")
+    out = subprocess.run([sys.executable, "-c", code, *argv], capture_output=True, text=True,
+                         check=True)
+    exit_code, modules = json.loads(out.stderr.splitlines()[-1])
+    assert exit_code == (64 if argv == ["critval", "--p", "3"] else 0)
+    assert loaded <= set(modules) and not not_loaded & set(modules)
+
+
 def test_special_names_are_scipy_objects():
-    # the three names served from scipy are its objects, cached after first
-    # use; the five others are pmean's own functions; no other name is served
-    names = set()
+    # every name the package reads from pmean.special is pmean's own function,
+    # none is scipy's, and the module serves no other name (no PEP 562 hook).
+    # The one scipy name left is ndtr, which are.py imports from scipy.special
+    # where its exact finite-d ARE recursion uses it.
+    names, imports = set(), []
     for path in Path(pmean.__file__).parent.glob("*.py"):
-        names.update(re.findall(r"\bsf\.(\w+)", path.read_text()))
-    scipy_names = {"ndtr", "log_ndtr", "hyp1f1"}
-    assert names == scipy_names | {"ndtri", "gammaln", "gamma", "erf", "exp1"}
-    for name in sorted(scipy_names):
-        assert getattr(sf, name) is getattr(scipy.special, name)
-        assert vars(sf)[name] is getattr(scipy.special, name)   # cached after first use
-    for name in sorted(names - scipy_names):
+        text = path.read_text()
+        names.update(re.findall(r"\bsf\.(\w+)", text))
+        imports += [(path.name, m) for m in re.findall(r"^\s*(?:from|import) (scipy\S*.*)$",
+                                                        text, re.M)]
+    assert names == {"ndtr", "log_ndtr", "ndtri", "gammaln", "gamma", "erf", "exp1"}
+    for name in sorted(names):
         assert getattr(sf, name) is vars(sf)[name] is not getattr(scipy.special, name)
-    for name in ("no_such_function", "erfc", "ndtri_exp"):
+    assert not hasattr(sf, "__getattr__")
+    for name in ("no_such_function", "erfc", "hyp1f1"):
         with pytest.raises(AttributeError, match=name):
             getattr(sf, name)
+    assert [(f, m) for f, m in imports if "special" in m] == [("are.py", "scipy.special import ndtr")]
 
 
 def test_rng_stream_reproducible():

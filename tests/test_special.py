@@ -1,5 +1,6 @@
 """The standard-library special functions of ``pmean.special`` (ndtri, gammaln,
-gamma, erf, exp1) against 40-digit mpmath, and against ``scipy.special``.
+gamma, erf, exp1, ndtr, log_ndtr) against 40-digit mpmath, and against
+``scipy.special``.
 
 Each bound is stated with the oracle grid it holds on.  Past the grids, the
 values at poles, 0, 1, +-inf, nan and overflow are those of ``scipy.special``
@@ -99,6 +100,56 @@ def test_exp1_oracle():
         tail = max(abs(float(sf.exp1(x)) - float(mp.e1(x))) for x in np.linspace(700.0, 760.0, 61))
     assert worst <= 1.5e-15, worst
     assert tail <= 8 * 5e-324, tail
+
+
+# Phi and ln Phi on [-1e5, 40]: random points, decades of both signs, and the
+# seam of ln Phi's asymptotic series at x = -37
+X_NORMAL = np.concatenate([_RNG.uniform(-40.0, 40.0, 600), -np.geomspace(1e-3, 1e5, 161),
+                           np.geomspace(1e-3, 40.0, 81),
+                           [-37.0 - 1e-9, -37.0, -37.0 + 1e-9, -38.5, -1.0, 0.0, 1.0, 6.0]])
+EPS = np.finfo(float).eps
+TINY = np.finfo(float).tiny
+
+
+def test_ndtr_oracle():
+    # erfc(-x / sqrt 2) / 2: x / sqrt 2 rounds, so within (1 + x^2) eps relative
+    # while Phi is a normal double, and 1e-321 absolute below
+    with mp.workdps(40):
+        for x in X_NORMAL:
+            got, ref = sf.ndtr(x), mp.ncdf(mp.mpf(x))
+            bound = (1.0 + x * x) * EPS * ref if ref >= TINY else 1e-321
+            assert abs(got - ref) <= bound, (x, got, ref)
+
+
+def test_log_ndtr_oracle():
+    # within 3 eps relative for x <= 0, the asymptotic series below -37
+    # included; for x > 0 it is -Phi(-x) to first order, so within (1 + x^2) eps
+    # relative while that is a normal double, and 1e-321 absolute below
+    with mp.workdps(40):
+        for x in X_NORMAL:
+            got = sf.log_ndtr(x)
+            ref = mp.log(mp.ncdf(x)) if x <= 0.0 else mp.log1p(-mp.ncdf(-x))
+            rel = 3.0 if x <= 0.0 else 1.0 + x * x
+            bound = rel * EPS * abs(ref) if abs(ref) >= TINY else 1e-321
+            assert abs(got - ref) <= bound, (x, got, ref)
+
+
+def test_normal_edges():
+    # the limits, nan, and the doubles past which -x^2/2 leaves them; arrays
+    # keep their shape, and nothing warns (warnings are errors in this suite)
+    cases = [(-math.inf, 0.0, -math.inf), (-1e200, 0.0, -math.inf), (-40.0, 0.0, None),
+             (math.inf, 1.0, 0.0), (40.0, 1.0, 0.0), (0.0, 0.5, -math.log(2.0))]
+    for x, phi, log_phi in cases:
+        assert sf.ndtr(x) == phi and type(sf.ndtr(x)) is float
+        if log_phi is not None:
+            assert sf.log_ndtr(x) == log_phi
+    assert sf.log_ndtr(-40.0) == pytest.approx(float(mp.log(mp.ncdf(-40))), rel=1e-15)
+    assert math.isnan(sf.ndtr(math.nan)) and math.isnan(sf.log_ndtr(math.nan))
+    grid = np.array([[-50.0, 0.0], [3.0, math.nan]])
+    for f in (sf.ndtr, sf.log_ndtr):
+        out = f(grid)
+        assert out.shape == grid.shape and out.dtype == float
+        assert all(same(a, f(x)) for a, x in zip(out.ravel(), grid.ravel()))
 
 
 def agree(got, want, tol):
