@@ -10,8 +10,8 @@ For p in (-1/2, infinity) the constant collapses to
 
     a_p = |p| / sqrt(2 (r(p) - 1)),    r(p) = Gamma(1/2) Gamma(p+1/2) / Gamma((p+1)/2)^2,
 
-which is the form used throughout (log-Gamma evaluation, expm1 for r - 1, and
-a Taylor branch of ln r around the removable point p = 0).
+which is the form used throughout: expm1 for r - 1, and ln r from
+``moments._ln_r``, with its Taylor branch around the removable point p = 0.
 """
 
 from __future__ import annotations
@@ -24,28 +24,10 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import special as sf
-from .moments import extended_p, lambda_p, regime_row
+from .moments import _ln_r, extended_p, lambda_p, regime_row
 from .numcore import (GAUSS_TAIL_RADIUS, AccuracyError, BracketError, DomainError,
                       IndeterminateGrowthError, find_root, normal_pdf, tanh_sinh)
 from .hypotest import pmean
-
-# psi'(1/2), psi''(1/2), psi'''(1/2) for the ln r Taylor branch at p = 0
-_PSI1_HALF = math.pi ** 2 / 2.0
-_PSI2_HALF = -16.828762155555034   # -14 zeta(3)
-_PSI3_HALF = math.pi ** 4
-
-
-def _ln_r(p) -> np.ndarray:
-    """ln r(p), by its Taylor series around the removable point p = 0."""
-    p = np.asarray(p, dtype=float)
-    lnr = sf.gammaln(0.5) + sf.gammaln(p + 0.5) - 2.0 * sf.gammaln((p + 1.0) / 2.0)
-    small = np.abs(p) < 1e-3
-    if np.any(small):
-        ps = np.where(small, p, 0.0)
-        series = (_PSI1_HALF / 4.0) * ps ** 2 + (_PSI2_HALF / 8.0) * ps ** 3 \
-            + (7.0 * _PSI3_HALF / 192.0) * ps ** 4
-        lnr = np.where(small, series, lnr)
-    return lnr
 
 
 def gamma_ratio(p) -> np.ndarray:

@@ -108,6 +108,27 @@ def lambda_p_zero(p: float) -> float:
 LOG_MEAN_ZERO = -0.5 * (EULER_GAMMA + math.log(2.0))
 LOG_VAR_ZERO = math.pi ** 2 / 8.0
 
+# psi'(1/2), psi''(1/2), psi'''(1/2) for the ln r Taylor branch at p = 0
+_PSI1_HALF = math.pi ** 2 / 2.0
+_PSI2_HALF = -16.828762155555034   # -14 zeta(3)
+_PSI3_HALF = math.pi ** 4
+
+
+def _ln_r(p) -> np.ndarray:
+    """ln r(p) for the Gamma ratio r(p) = Gamma(1/2) Gamma(p+1/2) / Gamma((p+1)/2)^2
+    = lambda_2p(0) / lambda_p(0)^2, p > -1/2, by its Taylor series around the
+    removable point p = 0."""
+    p = np.asarray(p, dtype=float)
+    lnr = sf.gammaln(0.5) + sf.gammaln(p + 0.5) - 2.0 * sf.gammaln((p + 1.0) / 2.0)
+    small = np.abs(p) < 1e-3
+    if np.any(small):
+        ps = np.where(small, p, 0.0)
+        series = (_PSI1_HALF / 4.0) * ps ** 2 + (_PSI2_HALF / 8.0) * ps ** 3 \
+            + (7.0 * _PSI3_HALF / 192.0) * ps ** 4
+        lnr = np.where(small, series, lnr)
+    return lnr
+
+
 # below this |s|, lambda_p(s) - lambda_p(0) and E ln|Z+s| - E ln|Z| (the p-derivative of
 # lambda_p(s) / lambda_p(0) at p = 0: coef_k = -1 / (k (1/2)_k), scale 1/2) go by series
 _LAMBDA_SERIES = 0.1
@@ -447,11 +468,10 @@ def _neg_half_law(p: float, d: int) -> LimitLaw:
 
 
 def _clt_law(p: float, d: int) -> LimitLaw:
+    # Var |Z|^p = lambda_p(0)^2 (r(p) - 1) keeps its digits as p -> 0; past the
+    # doubles it is inf or expm1 overflows, and limit_law names p
     lam0 = lambda_p_zero(p)
-    try:
-        var = lambda_p_zero(2.0 * p) - lam0 ** 2
-    except DomainError:     # lambda_2p(0) leaves the doubles; limit_law names p
-        var = math.inf
+    var = lam0 * lam0 * math.expm1(float(_ln_r(p)))
     return _normal_law("normal (CLT)", lam0, math.sqrt(d * var))
 
 
@@ -481,7 +501,7 @@ def limit_law(p, d: int) -> LimitLaw:
     v = extended_p(p)
     try:
         law = _LAWS[regime_of(v)](v, d)
-    except OverflowError:   # d^|p|, the scale of the p < -1 rows
+    except OverflowError:   # d^|p| of the p < -1 rows, or the CLT row's r(p) - 1
         law = None
     if law is None or not (math.isfinite(law.center) and math.isfinite(law.scale)):
         raise DomainError(f"p={v:g}, d={d}: the limit law's center or scale leaves the doubles")
