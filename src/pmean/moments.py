@@ -552,17 +552,6 @@ def _exponential_f(s):
         return np.exp(-0.5 * np.square(np.asarray(s, dtype=float)))
 
 
-def _additive(law: LimitLaw, sigma: float, alpha: float) -> dict:
-    """K and power for rows where the shift moves W by R / sigma:
-    K = (q_beta - q_alpha) sigma."""
-
-    def K(beta):
-        _check_beta(alpha, beta)
-        return (law.quantile(beta) - law.quantile(alpha)) * sigma
-
-    return dict(K=K, power=lambda R: float(law.cdf(law.quantile(alpha) + R / sigma)))
-
-
 def _sum_critical(p: float, d: int, alpha: float, law: LimitLaw) -> Callable[[], float]:
     """Critical value of a sum row: W at its size-alpha boundary, mapped back
     through T = sum_j t(Z_j) to <.>_p units.  For p < 0 small T rejects."""
@@ -599,20 +588,22 @@ def _row_below_neg_one(p, d, alpha, law):
                 critical=_sum_critical(p, d, alpha, law), f_at_zero=1.0, f_at_inf=0.0)
 
 
-def _bounded(p, d, alpha, law, kappa, rise, sigma):
-    """Rows p in [-1, 0): f = m(0) - m(s) = -rise(s) for the row's batched shift
-    moment m, rising to its bound m(0) = law.center; sigma = law.scale / kappa."""
-    return dict(f=lambda s: 0.0 - rise(s), kappa=kappa,     # +0, not -0, at s = 0
-                critical=_sum_critical(p, d, alpha, law), f_at_inf=law.center,
-                **_additive(law, sigma, alpha))
+def _additive(p, d, alpha, law, kappa, rise):
+    """Rows p in [-1, inf), where the shift moves W by R / sigma, sigma = law.scale
+    / kappa: K = (q_beta - q_alpha) sigma.  f = rise(s) = m(s) - m(0) for the row's
+    batched shift moment m, negated for p < 0, where it rises to its bound m(0) =
+    law.center; for p >= 0 it is unbounded."""
+    sigma = law.scale / kappa
 
+    def K(beta):
+        _check_beta(alpha, beta)
+        return (law.quantile(beta) - law.quantile(alpha)) * sigma
 
-def _unbounded(p, d, alpha, law, rise):
-    """Rows p in [0, inf): f = m(s) - m(0) = rise(s) for the row's batched shift
-    moment m, unbounded, with the CLT rate sqrt(d)."""
-    return dict(f=np.square if p == 2.0 else rise, kappa=math.sqrt(d),
+    return dict(f=(lambda s: 0.0 - rise(s)) if p < 0.0 else rise,    # +0, not -0, at s = 0
+                kappa=kappa, K=K,
+                power=lambda R: float(law.cdf(law.quantile(alpha) + R / sigma)),
                 critical=_sum_critical(p, d, alpha, law),
-                **_additive(law, law.scale / math.sqrt(d), alpha))
+                f_at_inf=law.center if p < 0.0 else math.inf)
 
 
 def _row_pos_inf(p, d, alpha, law):
@@ -631,18 +622,18 @@ def _row_pos_inf(p, d, alpha, law):
 _ROWS = {
     Regime.NEG_INF: _row_neg_inf,
     Regime.BELOW_NEG_ONE: _row_below_neg_one,
-    Regime.NEG_ONE: lambda p, d, a, law: _bounded(
-        p, d, a, law, float(d), _mu_tilde_rise(d, law.center), 1.0),
-    Regime.NEG_ONE_TO_NEG_HALF: lambda p, d, a, law: _bounded(
-        p, d, a, law, float(d) ** abs(p), _lambda_p_rise(p), 1.0),
-    Regime.NEG_HALF: lambda p, d, a, law: _bounded(
-        p, d, a, law, math.sqrt(d * math.log(d)), _lambda_p_rise(p), _NEG_HALF_SIGMA),
-    Regime.NEG_HALF_TO_ZERO: lambda p, d, a, law: _bounded(
-        p, d, a, law, math.sqrt(d), _lambda_p_rise(p), law.scale / math.sqrt(d)),
-    Regime.ZERO: lambda p, d, a, law: _unbounded(
-        p, d, a, law, _series_rise(_log_mean_batch, law.center, 0.5, _LOG_SERIES)),
-    Regime.ZERO_TO_INF: lambda p, d, a, law: _unbounded(
-        p, d, a, law, _lambda_p_rise(p)),
+    Regime.NEG_ONE: lambda p, d, a, law: _additive(
+        p, d, a, law, float(d), _mu_tilde_rise(d, law.center)),
+    Regime.NEG_ONE_TO_NEG_HALF: lambda p, d, a, law: _additive(
+        p, d, a, law, float(d) ** abs(p), _lambda_p_rise(p)),
+    Regime.NEG_HALF: lambda p, d, a, law: _additive(
+        p, d, a, law, math.sqrt(d * math.log(d)), _lambda_p_rise(p)),
+    Regime.NEG_HALF_TO_ZERO: lambda p, d, a, law: _additive(
+        p, d, a, law, math.sqrt(d), _lambda_p_rise(p)),
+    Regime.ZERO: lambda p, d, a, law: _additive(
+        p, d, a, law, math.sqrt(d), _series_rise(_log_mean_batch, law.center, 0.5, _LOG_SERIES)),
+    Regime.ZERO_TO_INF: lambda p, d, a, law: _additive(
+        p, d, a, law, math.sqrt(d), np.square if p == 2.0 else _lambda_p_rise(p)),
     Regime.POS_INF: _row_pos_inf,
 }
 
