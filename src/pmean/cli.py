@@ -62,7 +62,7 @@ def parse_count(text: str) -> int:
 
 
 def parse_finite(text: str) -> float:
-    """A float flag (--alpha, --beta, --slack, --c, --from, --to, --step): finite."""
+    """A float flag (--alpha, --beta, --c, --from, --to, --step): finite."""
     value = float(text)
     if not math.isfinite(value):
         raise ValueError(f"not finite: {text}")
@@ -189,11 +189,9 @@ def build_parser() -> _Parser:
 
     sp = command("samplesize", "smallest n reaching power beta", "p", "d", "alpha", "beta")
     sp.add_argument("--theta", required=True)
-    sp.add_argument("--slack", type=parse_finite, default=0.0)
 
     sp = command("feasible", "feasibility of a direction for p < 0", "p", "d", "alpha", "beta")
     sp.add_argument("--u", required=True)
-    sp.add_argument("--slack", type=parse_finite, default=0.0)
 
     sp = command("are", "large-d ARE phase-transition verdict", "p", "alpha", "beta")
     sp.add_argument("--useq", required=True,
@@ -268,7 +266,7 @@ def _samplesize(args):
     from .hypotest import TestPlan, as_shift_scale, n_for_scale, power_asymptotic
     theta = parse_vector(args.theta, args.d)
     plan = TestPlan(parse_p(args.p), args.d, args.alpha, args.beta, theta)
-    t = as_shift_scale(plan, slack=args.slack)
+    t = as_shift_scale(plan)
     n = n_for_scale(t)
     pw = power_asymptotic(plan.p, args.d, args.alpha, math.sqrt(n) * theta)
     return {"n": n, "shift_scale": t}, {"power_at_n": pw}
@@ -277,8 +275,7 @@ def _samplesize(args):
 def _feasible(args):
     from .hypotest import TestPlan, feasibility
     u = parse_vector(args.u, args.d)
-    f = feasibility(TestPlan(parse_p(args.p), args.d, args.alpha, args.beta, u),
-                    slack=args.slack)
+    f = feasibility(TestPlan(parse_p(args.p), args.d, args.alpha, args.beta, u))
     return ({"feasible": f.feasible, "threshold": f.threshold, "d0": f.d0},
             {"detail": f.detail}, 0 if f.feasible else 3)
 

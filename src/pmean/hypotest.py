@@ -277,19 +277,9 @@ class Feasibility:
     detail: str = ""
 
 
-def feasibility(plan: TestPlan, slack: float = 0.0) -> Feasibility:
-    """Whether the direction of theta1 can reach power beta at size alpha.
-
-    Each of the d_0(u) exact zeros of the direction contributes f(0) to the
-    shift sum and every other coordinate can contribute up to f(inf), so the
-    sum reaches K kappa_p(d) iff d_0 is at most the sharp threshold
-    d - (K kappa - d f(0)) / (f(inf) - f(0)); that is d for p >= 0, where f is
-    unbounded.  ``slack`` loosens the comparison multiplicatively (the theory
-    carries o(1) terms)."""
+def _feasibility(plan: TestPlan, row) -> Feasibility:
     d = plan.d
-    u = plan.direction
-    d0 = int(np.count_nonzero(u == 0.0))
-    row = regime_row(plan.p, plan.alpha, d)
+    d0 = int(np.count_nonzero(plan.direction == 0.0))
     K, kappa, f0 = row.K(plan.beta), row.kappa, row.f_at_zero
     thr = d - (K * kappa - d * f0) / (row.f_at_inf - f0)
     if math.isinf(row.f_at_inf):
@@ -298,16 +288,27 @@ def feasibility(plan: TestPlan, slack: float = 0.0) -> Feasibility:
         detail = f"d_0 <= K*d with K={K:.6g}"
     else:
         detail = f"d_0 <= d - K*kappa/f_sup, K={K:.6g}, kappa={kappa:.6g}, sup f={row.f_sup:.6g}"
-    ok = d0 <= thr * (1.0 + slack) if thr >= 0 else False
-    return Feasibility(bool(ok), float(thr), d0, detail)
+    return Feasibility(bool(0 <= thr and d0 <= thr), float(thr), d0, detail)
 
 
-def as_shift_scale(plan: TestPlan, slack: float = 0.0) -> float:
+def feasibility(plan: TestPlan) -> Feasibility:
+    """Whether the direction of theta1 can reach power beta at size alpha.
+
+    Each of the d_0(u) exact zeros of the direction contributes f(0) to the
+    shift sum and every other coordinate can contribute up to f(inf), so the
+    sum reaches K kappa_p(d) iff d_0 is at most the sharp threshold
+    d - (K kappa - d f(0)) / (f(inf) - f(0)); that is d for p >= 0, where f is
+    unbounded."""
+    return _feasibility(plan, regime_row(plan.p, plan.alpha, plan.d))
+
+
+def as_shift_scale(plan: TestPlan) -> float:
     """The scalar t* > 0 with sum_j f_p(t* theta_j) = K kappa_p(d); the
     asymptotically sufficient shift in the direction of theta1 is t* theta1."""
     if not np.any(plan.theta1 != 0.0):
         raise DomainError("theta1 must be nonzero")
-    feas = feasibility(plan, slack=slack)
+    row = regime_row(plan.p, plan.alpha, plan.d)
+    feas = _feasibility(plan, row)
     if not feas.feasible:
         if feas.threshold < 0:
             # only rows with f bounded above go negative: even d_0 = 0 falls short
@@ -316,7 +317,6 @@ def as_shift_scale(plan: TestPlan, slack: float = 0.0) -> float:
         else:
             why = f"direction infeasible: d_0={feas.d0} exceeds threshold {feas.threshold:.6g}"
         raise InfeasibleError(f"p={plan.p}: {why} ({feas.detail})", feas.threshold, feas.d0)
-    row = regime_row(plan.p, plan.alpha, plan.d)
     target = row.K(plan.beta) * row.kappa
     shift_sum = row.shift_sum(plan.theta1)
 
@@ -334,10 +334,10 @@ def n_for_scale(t: float) -> int:
     return max(1, int(math.ceil(t * t - 1e-9)))
 
 
-def sample_size(plan: TestPlan, slack: float = 0.0) -> int:
+def sample_size(plan: TestPlan) -> int:
     """Smallest integer n with asymptotic power >= beta: n = ceil(t*^2) with
     t* from the sufficient-shift equation (ceiling of ||s||^2 / ||theta1||^2)."""
-    return n_for_scale(as_shift_scale(plan, slack=slack))
+    return n_for_scale(as_shift_scale(plan))
 
 
 def as_shift_residual(p, d: int, alpha: float, beta: float, s) -> float:

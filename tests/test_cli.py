@@ -376,10 +376,10 @@ class TestContracts:
           "--shift", "nan,0,0", "--critval", "asymptotic"], 2),
         (["schur2-check", "--p", "1", "--d", "2", "--c", "nan", "--v", "1.4142135623730951,0",
           "--w", "1,1", "--reps", "1000"], 64),
-        (["feasible", "--p", "-2", "--d", "3", "--alpha", "0.05", "--beta", "0.8",
-          "--u", "1,1,1", "--slack", "nan"], 64),
-        (["samplesize", "--p", "2", "--d", "3", "--alpha", "0.05", "--beta", "0.8",
-          "--theta", "1,1,1", "--slack", "nan"], 64),
+        (["feasible", "--p", "-2", "--d", "3", "--alpha", "0.05", "--beta", "nan",
+          "--u", "1,1,1"], 64),
+        (["samplesize", "--p", "2", "--d", "3", "--alpha", "0.05", "--beta", "nan",
+          "--theta", "1,1,1"], 64),
         (["samplesize", "--p", "2", "--d", "3", "--alpha", "0.05", "--beta", "inf",
           "--theta", "1,1,1"], 64),
         (["are-finite", "--p", "1", "--d", "2", "--u", "nan,1", "--alpha", "0.05",
