@@ -155,8 +155,13 @@ def _log_g(p: float, row) -> Callable[[np.ndarray], np.ndarray]:
     if p > 0.0:
         # s^2 up to s = 1, s^p beyond
         return lambda l: np.exp(np.where(l <= 0.0, 2.0 * l, p * l))
-    # p in (-1/2, 0): g_p = f_p = lambda_p(0) - lambda_p(s), bounded by lambda_p(0)
-    return lambda l: row.f(np.exp(l))
+    # p in (-1/2, 0): g_p = f_p = lambda_p(0) - lambda_p(s), bounded by lambda_p(0),
+    # its value at s = e^l = inf
+    def g(l):
+        with np.errstate(over="ignore"):
+            return row.f(np.exp(l))
+
+    return g
 
 
 def orlicz_norm(p: float, alpha: float, beta: float, v) -> float:
@@ -468,4 +473,9 @@ def are_finite(p, d: int, u, alpha: float, beta: float) -> float:
 
     t2 = solve_for(2.0)
     tp = solve_for(pv)
+    # the solves hold t to 1e-13: the ratio to 2e-13 (1/t2 + 1/tp) relative
+    err = 2e-13 * (1.0 / t2 + 1.0 / tp) if t2 > 0.0 and tp > 0.0 else math.inf
+    if not err <= 1e-6:
+        raise AccuracyError(f"t_2={t2!r} or t_p={tp!r} is not resolved from 0 at beta={beta}",
+                            math.nan, err)
     return t2 * t2 / (tp * tp)

@@ -330,7 +330,11 @@ def as_shift_scale(plan: TestPlan) -> float:
 
 def n_for_scale(t: float) -> int:
     """The sample size n = ceil(t^2), at least 1, for shift scale t; a t^2 up
-    to 1e-9 above an integer rounds down to it."""
+    to 1e-9 above an integer rounds down to it.  DomainError where t^2 leaves
+    the doubles."""
+    if t * t == math.inf:
+        raise DomainError(f"the shift scale t*={t!r} has t*^2 past the doubles: "
+                          "no sample size")
     return max(1, int(math.ceil(t * t - 1e-9)))
 
 

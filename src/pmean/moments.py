@@ -392,10 +392,13 @@ def c_crit_inf(d: int, alpha: float) -> float:
         raise DomainError(f"c_crit_inf requires d >= 2, got {d}")
     if not 0.0 < alpha < 1.0:
         raise DomainError(f"alpha must be in (0,1), got {alpha}")
-    arg = -d / math.sqrt(math.pi * math.log(d)) / math.log1p(-alpha)
-    if arg <= 1.0:
-        raise DomainError(f"degenerate c_{{d,alpha}}: inner log argument {arg} <= 1")
-    return math.sqrt(2.0 * math.log(arg))
+    # the inner logarithm term by term: its argument leaves the doubles as alpha -> 0
+    log_arg = (math.log(d) - 0.5 * math.log(math.pi * math.log(d))
+               - math.log(-math.log1p(-alpha)))
+    if log_arg <= 0.0:
+        raise DomainError(f"degenerate c_{{d,alpha}}: inner log argument "
+                          f"{math.exp(log_arg)} <= 1")
+    return math.sqrt(2.0 * log_arg)
 
 
 def _log_prob_abs_le(c: float, s):
@@ -539,7 +542,12 @@ class RegimeRow:
     def shift_sum(self, theta) -> Callable[[float], float]:
         """t -> sum_j f(t theta_j), evaluating f once per distinct |theta_j|."""
         vals, counts = np.unique(np.abs(np.asarray(theta, dtype=float)), return_counts=True)
-        return lambda t: float(np.dot(counts, self.f(t * vals)))
+
+        def total(t):
+            with np.errstate(over="ignore"):        # a sum past the doubles is inf
+                return float(np.dot(counts, self.f(t * vals)))
+
+        return total
 
 
 def _check_beta(alpha: float, beta: float) -> None:
@@ -557,13 +565,18 @@ def _sum_critical(p: float, d: int, alpha: float, law: LimitLaw) -> Callable[[],
     through T = sum_j t(Z_j) to <.>_p units.  For p < 0 small T rejects."""
 
     def critical():
-        w = law.quantile(alpha if p < 0.0 else 1.0 - alpha)
+        # for p >= 0 the law is normal: q_{1-alpha} = -q_alpha, also where 1 - alpha is 1
+        w = law.quantile(alpha) if p < 0.0 else -law.quantile(alpha)
         m = law.center + w * law.scale / d
         if p == 0.0:
             return math.exp(m)
         if m <= 0.0:
             raise DomainError(f"d={d} too small for the p={p:g} asymptotic critical value")
-        return m ** (1.0 / p)
+        try:
+            return m ** (1.0 / p)
+        except OverflowError:
+            raise DomainError(f"the p={p:g} asymptotic critical value at d={d} leaves the "
+                              "doubles") from None
 
     return critical
 
@@ -583,8 +596,13 @@ def _row_below_neg_one(p, d, alpha, law):
         _check_beta(alpha, beta)
         return (law.quantile(beta) / law.quantile(alpha)) ** (1.0 / p)
 
-    return dict(f=_exponential_f, kappa=float(d), K=K,
-                power=lambda R: float(law.cdf(law.quantile(alpha) * R ** p)),
+    def power(R):
+        # R^p is inf where it leaves the doubles (R = 0 once every e^-s^2/2
+        # underflows), and the power there 1
+        with np.errstate(divide="ignore", over="ignore"):
+            return float(law.cdf(law.quantile(alpha) * np.power(R, p)))
+
+    return dict(f=_exponential_f, kappa=float(d), K=K, power=power,
                 critical=_sum_critical(p, d, alpha, law), f_at_zero=1.0, f_at_inf=0.0)
 
 

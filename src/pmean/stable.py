@@ -35,8 +35,8 @@ from functools import lru_cache
 import numpy as np
 
 from . import special as sf
-from .numcore import (TS_FL, TS_FR, TS_WEIGHTS, DomainError, RngStream, by_blocks, find_root,
-                      tanh_sinh_fractions)
+from .numcore import (TS_FL, TS_FR, TS_WEIGHTS, AccuracyError, DomainError, RngStream,
+                      by_blocks, find_root, tanh_sinh_fractions)
 
 EULER_GAMMA = 0.5772156649015329
 CPLUS = math.sqrt(2.0 / math.pi)   # total Levy mass multiplier sqrt(2/pi)
@@ -203,7 +203,8 @@ def _s1_cdf(a: float, y: np.ndarray) -> np.ndarray:
 
 def _cdf_exponent(ex: _Exponent, x):
     """F(x) for the law with exponent ex; one vectorized pass over an array x."""
-    y = (np.asarray(x, dtype=float) - ex.shift) / ex.scale
+    with np.errstate(over="ignore"):        # past the doubles y is +-inf, and F its limit
+        y = (np.asarray(x, dtype=float) - ex.shift) / ex.scale
     F = np.clip(_s1_cdf(ex.a, y.ravel()), 0.0, 1.0).reshape(y.shape)
     return float(F) if F.ndim == 0 else F
 
@@ -213,15 +214,37 @@ def stable_cdf(law: StableLaw, x):
     return _cdf_exponent(_law_exponent(law), x)
 
 
+# the most |F(x) - q| a quantile x may leave; the solve's absolute tolerance in x
+# loses more than that where the quantile nears it, below stable index about 1/8
+_QUANTILE_TOL = 1e-8
+
+
 @lru_cache(maxsize=100_000)
 def _quantile_cached(law: StableLaw, q: float) -> float:
     ex = _law_exponent(law)
     step = max(ex.scale, 1.0)
+    where = f"the stable quantile at p={law.p:g}, q={q!r}"
     # the right tail is P(X > x) ~ CPLUS x^-a
-    hi = ex.shift + max(4.0 * step, 3.0 * (CPLUS / (1.0 - q)) ** (1.0 / ex.a))
+    try:
+        hi = ex.shift + max(4.0 * step, 3.0 * (CPLUS / (1.0 - q)) ** (1.0 / ex.a))
+    except OverflowError:
+        hi = math.inf
+    if hi == math.inf:
+        raise AccuracyError(f"{where}: its first bracket leaves the doubles", math.nan, math.inf)
     # F = 0 at the lower end of the support when a < 1
     lo = ex.shift if ex.a < 1.0 else ex.shift - 4.0 * step
-    return find_root(lambda x: _cdf_exponent(ex, x) - q, lo, hi, tol=1e-11)
+    cdf = {}        # F at the points Brent evaluates; it returns one of them
+
+    def gap(x):
+        cdf[x] = F = _cdf_exponent(ex, x)
+        return F - q
+
+    x = find_root(gap, lo, hi, tol=1e-11)
+    F = cdf[x]
+    # F(x) in {0, 1} is off the support's interior, where no level q in (0, 1) lies
+    if not (abs(F - q) <= _QUANTILE_TOL and 0.0 < F < 1.0):
+        raise AccuracyError(f"{where}: F(x) = {F!r}", x, abs(F - q))
+    return x
 
 
 def stable_quantile(law: StableLaw, q: float) -> float:

@@ -1,6 +1,7 @@
 import argparse
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -455,3 +456,109 @@ class TestContracts:
         assert (tmp_path / "curve.csv").read_text() == out
         # an --out that cannot be opened is a configuration error
         assert run(argv + ["--out", str(tmp_path / "missing" / "curve.csv")]) == 2
+
+
+def run_clean(argv, capsys):
+    """(exit code, stdout, stderr) of one in-process call, with every warning
+    caught: none may escape."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = run(argv)
+    captured = capsys.readouterr()
+    assert [str(w.message) for w in caught] == []
+    assert "nan" not in captured.out.lower()
+    return code, captured.out, captured.err
+
+
+class TestEdgesOfTheDoubles:
+    """Inputs at the edges of the doubles: each exits with a documented code,
+    prints no NaN and lets no warning escape."""
+
+    def test_p_below_neg_one_far_shift_has_power_one(self, capsys):
+        # R = mean_j e^{-s_j^2/2} underflows to 0, and R^p to inf
+        code, out, _ = run_clean(["power", "--p", "-2", "--d", "10", "--alpha", "0.05",
+                                  "--shift", "equalized:40"], capsys)
+        assert code == 0 and json.loads(out)["result"]["power"] == 1.0
+
+    def test_p_below_neg_one_sample_size_of_one(self, capsys):
+        code, out, _ = run_clean(["samplesize", "--p", "-2", "--d", "1000", "--alpha", "0.05",
+                                  "--beta", "0.8", "--theta", "equalized:1e7"], capsys)
+        doc = json.loads(out)
+        assert code == 0 and doc["result"]["n"] == 1
+        assert doc["diagnostics"]["power_at_n"] == 1.0
+
+    @pytest.mark.parametrize("argv", [
+        # a zero quantile in K
+        ["feasible", "--p", "-21.369064866181812", "--d", "4", "--alpha", "0.01675",
+         "--beta", "0.8803", "--u", "spike:8.939e-189"],
+        # a negative quantile, and K complex
+        ["samplesize", "--p", "-72.06832936596555", "--d", "9", "--alpha", "0.02207",
+         "--beta", "0.9863", "--theta", "spike:5.97714e+52"],
+        # the quantile's first bracket overflows
+        ["feasible", "--p", "-235", "--d", "10", "--alpha", "0.05", "--beta", "0.99",
+         "--u", "equalized:1"],
+        # a zero quantile, which would make the critical value's m zero
+        ["critval", "--p", "-24", "--d", "1000", "--alpha", "0.01"],
+        # a level of 5e-324 lies below what the quantile solve resolves
+        ["samplesize", "--p", "-964.839416913474", "--d", "1", "--alpha", "5e-324",
+         "--beta", "1e-323", "--theta", "block:1:10.0"],
+    ])
+    def test_unresolved_stable_quantile_is_an_accuracy_error(self, argv, capsys):
+        code, out, err = run_clean(argv, capsys)
+        assert code == 4 and out == "" and "stable quantile" in err
+
+    def test_shift_scale_past_the_doubles(self, capsys):
+        code, out, err = run_clean(["samplesize", "--p", "2", "--d", "10", "--alpha", "0.05",
+                                    "--beta", "0.8", "--theta", "equalized:1e-300"], capsys)
+        assert code == 2 and out == "" and "t*" in err
+
+    def test_shift_sum_past_the_doubles(self, capsys):
+        # sum_j f(t theta_j) overflows at t = 1; the root lies near t = 0 and n = 1
+        code, out, _ = run_clean(["samplesize", "--p", "1.7997102991738103", "--d", "20985",
+                                  "--alpha", "0.144", "--beta", "0.3844",
+                                  "--theta", "equalized:1.23035e+171"], capsys)
+        assert code == 0 and json.loads(out)["result"]["n"] == 1
+
+    def test_orlicz_norm_at_shifts_past_the_doubles(self, capsys):
+        # g_p(e^l) for p < 0 takes its limit lambda_p(0) where e^l overflows
+        code, out, _ = run_clean(["are", "--p", "-1e-06", "--alpha", "0.1537", "--beta",
+                                  "0.9427", "--useq", "spike"], capsys)
+        assert code == 0 and json.loads(out)["result"]["tag"] == "zero"
+
+    def test_critical_values_at_levels_near_zero(self, capsys):
+        # 1 - alpha rounds to 1 and the inner argument of c_{d,alpha} overflows
+        for p, want in (("0", 0.5427), ("inf", 38.04)):
+            code, out, _ = run_clean(["critval", "--p", p, "--d", "3012219", "--alpha",
+                                      "2.225073858507203e-309"], capsys)
+            c = json.loads(out)["result"]["critical_value"]
+            assert code == 0 and want < c < want + 0.01
+
+    def test_are_finite_scale_not_resolved_from_zero(self, capsys):
+        code, out, err = run_clean(["are-finite", "--p", "2", "--d", "1", "--u", "76.3",
+                                    "--alpha", "7.249658565923702e-177",
+                                    "--beta", "7.249658565923703e-177"], capsys)
+        assert code == 4 and out == "" and "resolved" in err
+
+
+class TestNearZeroExponent:
+    @pytest.mark.parametrize("p", ["1e-9", "-1e-9"])
+    def test_sample_size_matches_p_zero(self, p, capsys):
+        # Var|Z|^p from r(p) keeps its digits near p = 0, where
+        # lambda_2p(0) - lambda_p(0)^2 cancels
+        base = ["--d", "1000", "--alpha", "0.05", "--beta", "0.8", "--theta", "equalized:0.02"]
+        _, out0, _ = run_clean(["samplesize", "--p", "0"] + base, capsys)
+        code, out, _ = run_clean(["samplesize", "--p", p] + base, capsys)
+        assert code == 0
+        assert json.loads(out)["result"]["n"] == json.loads(out0)["result"]["n"] == 450
+
+    def test_power_near_zero(self, capsys):
+        code, out, _ = run_clean(["power", "--p", "3.2e-10", "--d", "100", "--alpha", "0.05",
+                                  "--shift", "equalized:0.2"], capsys)
+        assert code == 0 and 0.05 < json.loads(out)["result"]["power"] < 1.0
+
+
+@pytest.mark.parametrize("cmd", ["samplesize", "feasible"])
+def test_slack_is_gone(cmd, capsys):
+    argv = MINIMAL[cmd] + ["--slack", "0.6"]
+    assert run(argv) == 64
+    assert capsys.readouterr().out == ""

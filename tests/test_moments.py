@@ -459,6 +459,19 @@ class TestRegimeTable:
             for beta in (0.2, 0.8):
                 assert abs(row.power(row.K(beta)) - beta) < 1e-8, (p, beta)
 
+    def test_power_at_the_ends_of_the_doubles(self):
+        # R = 0 (every e^-s^2/2 underflowed, or no shift), subnormal, and the
+        # largest R of the row: 1 on the two exponential rows, inf elsewhere
+        for p in (-math.inf, -8.0, -2.0, -1.0, -0.7, -0.5, -0.25, 0.0, 1.0, 3.0, math.inf):
+            row = regime_row(p, 0.05, 100)
+            top = 1.0 if row.f_at_zero == 1.0 else math.inf
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                powers = [row.power(R) for R in (0.0, 5e-324, top)]
+            assert all(0.0 <= x <= 1.0 for x in powers), (p, powers)
+            # the exponential rows' R falls as the shift grows
+            assert powers[2 if top == 1.0 else 0] == pytest.approx(0.05), (p, powers)
+
     def test_shift_sum_deduplicates(self):
         row = regime_row(3.0, 0.05, 8)
         theta = np.array([0.5, -0.5, 0.0, 1.5, -1.5, 1.5, 0.0, 0.5])
@@ -521,3 +534,32 @@ class TestRegimeTable:
         assert abs(b_p(-2.0) - SQRT_2_OVER_PI) < 1e-15
         with pytest.raises(DomainError):
             b_p(-0.3)
+
+
+# p = +-10^-k: the CLT rows on either side of p = 0 approach the log row
+NEAR_ZERO = [sign * 10.0 ** -k for k in range(3, 12) for sign in (1.0, -1.0)]
+
+
+class TestNearZeroExponent:
+    @pytest.mark.parametrize("d", [59, 1000, 10 ** 6])
+    def test_critical_value_tends_to_the_log_row(self, d):
+        # the truncation is O(p); the root m^(1/p) carries eps / |p| of rounding
+        c0 = regime_row(0.0, 0.05, d).critical()
+        for p in NEAR_ZERO:
+            c = regime_row(p, 0.05, d).critical()
+            assert abs(c / c0 - 1.0) <= abs(p) + 1e-15 / abs(p), (p, c, c0)
+
+    @pytest.mark.parametrize("d", [59, 1000, 10 ** 6])
+    def test_scale_tends_to_p_times_the_log_scale(self, d):
+        # sd |Z|^p = |p| sd ln|Z| (1 + O(p)), from Var |Z|^p = lambda_p(0)^2 (r(p) - 1)
+        s0 = limit_law(0.0, d).scale
+        for p in NEAR_ZERO:
+            ratio = limit_law(p, d).scale / (abs(p) * s0)
+            assert abs(ratio - 1.0) <= 2.0 * abs(p), (p, ratio)
+
+    def test_clt_variance_is_the_moment_difference(self):
+        # away from p = 0 the r(p) form agrees with lambda_2p(0) - lambda_p(0)^2
+        for p in (-0.45, -0.3, 0.5, 1.0, 3.0, 7.5):
+            var = limit_law(p, 1).scale ** 2
+            want = lambda_p_zero(2.0 * p) - lambda_p_zero(p) ** 2
+            assert abs(var / want - 1.0) < 1e-13, (p, var, want)

@@ -9,7 +9,8 @@ from scipy import integrate
 from scipy.special import erfc, ndtr, ndtri
 
 from pmean.moments import b_p
-from pmean.numcore import DomainError, RngStream
+from pmean import stable as stable_mod
+from pmean.numcore import AccuracyError, DomainError, RngStream
 from pmean.stable import (StableLaw, _law_exponent, stable_cdf, stable_quantile,
                           stable_sample, support_lower_bound)
 
@@ -308,3 +309,44 @@ class TestZolotarev:
     def test_quantile_round_trip(self, alpha, q):
         law = _law(alpha)
         assert abs(stable_cdf(law, stable_quantile(law, q)) - q) <= 1e-8
+
+
+class TestQuantileAccuracy:
+    @pytest.mark.parametrize("p, q", [(-24.0, 0.01), (-21.369064866181812, 0.01675),
+                                      (-72.06832936596555, 0.02207)])
+    def test_unresolved_quantile_raises(self, p, q):
+        # below stable index about 1/8 the solve, absolute in x, cannot resolve
+        # these levels; it says so rather than return a zero or negative quantile
+        with pytest.raises(AccuracyError, match="stable quantile"):
+            stable_quantile(StableLaw(p, b_p(p)), q)
+
+    def test_overflowing_bracket_raises(self):
+        with pytest.raises(AccuracyError, match="first bracket"):
+            stable_quantile(StableLaw(-235.0, b_p(-235.0)), 0.99)
+
+    def test_level_below_the_resolution_raises(self):
+        # |F(0) - q| = 5e-324 passes the 1e-8 bound, but F(0) = 0 lies off the
+        # support's interior, where no level in (0, 1) does
+        p = -964.839416913474
+        with pytest.raises(AccuracyError):
+            stable_quantile(StableLaw(p, b_p(p)), 5e-324)
+
+    def test_check_costs_no_cdf_evaluation(self, monkeypatch):
+        # the residual is read from the points the solve evaluated
+        calls = {"cdf": 0, "g": 0}
+        cdf, find_root = stable_mod._cdf_exponent, stable_mod.find_root
+
+        def counted_cdf(ex, x):
+            calls["cdf"] += 1
+            return cdf(ex, x)
+
+        def counted_root(g, *args, **kwargs):
+            def counted_g(x):
+                calls["g"] += 1
+                return g(x)
+            return find_root(counted_g, *args, **kwargs)
+
+        monkeypatch.setattr(stable_mod, "_cdf_exponent", counted_cdf)
+        monkeypatch.setattr(stable_mod, "find_root", counted_root)
+        stable_quantile(StableLaw(-1.7, b_p(-1.7)), 0.3141592)
+        assert calls["cdf"] == calls["g"] > 0
