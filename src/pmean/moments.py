@@ -572,11 +572,7 @@ def _sum_critical(p: float, d: int, alpha: float, law: LimitLaw) -> Callable[[],
             return math.exp(m)
         if m <= 0.0:
             raise DomainError(f"d={d} too small for the p={p:g} asymptotic critical value")
-        try:
-            return m ** (1.0 / p)
-        except OverflowError:
-            raise DomainError(f"the p={p:g} asymptotic critical value at d={d} leaves the "
-                              "doubles") from None
+        return m ** (1.0 / p)
 
     return critical
 

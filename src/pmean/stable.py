@@ -248,7 +248,8 @@ def _quantile_cached(law: StableLaw, q: float) -> float:
 
 
 def stable_quantile(law: StableLaw, q: float) -> float:
-    """Inverse of stable_cdf on (0, 1)."""
+    """Inverse of stable_cdf on (0, 1); AccuracyError where the solve does not
+    hold |F(x) - q| to 1e-8 inside the support."""
     if not 0.0 < q < 1.0:
         raise DomainError(f"stable_quantile requires q in (0,1), got {q}")
     return _quantile_cached(law, float(q))
