@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
@@ -27,7 +27,7 @@ from . import special as sf
 from .moments import _ln_r, extended_p, lambda_p, regime_row
 from .numcore import (GAUSS_TAIL_RADIUS, AccuracyError, BracketError, DomainError,
                       IndeterminateGrowthError, find_root, normal_pdf, tanh_sinh)
-from .hypotest import pmean
+from .hypotest import level_pmean, level_set, pmean
 
 
 def gamma_ratio(p) -> np.ndarray:
@@ -172,15 +172,17 @@ def orlicz_norm(p: float, alpha: float, beta: float, v) -> float:
     v = np.asarray(v, dtype=float)
     if v.ndim != 1 or v.size == 0:
         raise DomainError("v must be a nonempty vector")
-    d = v.size
+    return _orlicz_norm(p, alpha, beta, level_set(v))
+
+
+def _orlicz_norm(p: float, alpha: float, beta: float, levels) -> float:
+    vals, counts = levels
+    d = int(counts.sum())
     row = regime_row(p, alpha, max(d, 2))
     budget = row.K(beta) * math.sqrt(d)
-    nz = np.abs(v[v != 0.0])
-    if nz.size == 0:
+    vals, counts = vals[vals != 0.0], counts[vals != 0.0]
+    if vals.size == 0 or counts.sum() * row.f_sup <= budget:
         return 0.0
-    if nz.size * row.f_sup <= budget:
-        return 0.0
-    vals, counts = np.unique(nz, return_counts=True)
     logs = np.log(vals)
     g = _log_g(p, row)
 
@@ -196,10 +198,14 @@ def orlicz_norm(p: float, alpha: float, beta: float, v) -> float:
 
 @dataclass(frozen=True)
 class DirectionSequence:
-    """A varying <.>_2-unit direction d -> u(d), probed at finitely many dims."""
+    """A varying <.>_2-unit direction d -> u(d), probed at finitely many dims.
+    ``classify_are`` reads u(d) only as its level set (``levels_at``): one
+    ``np.unique`` of the checked probe, or, for the library's block sequences,
+    a closed form that builds no vector of length d."""
 
     generator: Callable[[int], np.ndarray]
     probe_dims: tuple = (100, 10_000, 1_000_000)
+    _levels: Optional[Callable[[int], tuple]] = field(default=None, repr=False)
 
     def probe(self, d: int) -> np.ndarray:
         u = np.asarray(self.generator(int(d)), dtype=float)
@@ -209,17 +215,19 @@ class DirectionSequence:
             raise DomainError(f"u(d={d}) is not <.>_2-unit")
         return u
 
+    def levels_at(self, d: int) -> tuple[np.ndarray, np.ndarray]:
+        """The level set of u(d): of the checked ``probe(d)``, or in closed form."""
+        return level_set(self.probe(d)) if self._levels is None else self._levels(d)
+
 
 def _blocks(k: Callable[[int], int]) -> DirectionSequence:
     """u(d) with k(d) equal coordinates sqrt(d / k(d)), clipped to [1, d], and
-    zeros elsewhere."""
-    def gen(d):
+    zeros elsewhere; its level set in closed form."""
+    def levels(d):
         kd = max(1, min(d, k(d)))
-        u = np.zeros(d)
-        u[:kd] = math.sqrt(d / kd)
-        return u
+        return np.array([0.0, math.sqrt(d / kd)])[kd == d:], np.array([d - kd, kd])[kd == d:]
 
-    return DirectionSequence(gen)
+    return DirectionSequence(lambda d: np.repeat(*levels(d))[::-1], _levels=levels)
 
 
 def equalized_sequence() -> DirectionSequence:
@@ -276,36 +284,31 @@ def classify_are(p, useq: DirectionSequence, alpha: float, beta: float) -> AREVe
     if v <= -0.5:
         return AREVerdict("zero", 0.0, "p in [-inf, -1/2]: ARE vanishes for every direction")
 
-    probes = [useq.probe(int(d)) for d in dims]
-    equalized = all(np.allclose(np.abs(u), np.abs(u[0]), rtol=0.0, atol=1e-12) for u in probes)
-
-    if v == math.inf:
-        vals = np.array([np.max(np.abs(u)) for u in probes])
-        thr = dims ** 0.25 * np.sqrt(np.log(dims))
-        slope = _log_slope(dims, vals / thr)
-        if slope < -GROWTH_DEAD_BAND:
-            return AREVerdict("zero", 0.0, f"<u>_inf << d^(1/4) sqrt(ln d): slope {slope:+.4f}")
-        if slope > GROWTH_DEAD_BAND:
-            return AREVerdict("infinite", None, f"<u>_inf >> d^(1/4) sqrt(ln d): slope {slope:+.4f}")
-        raise IndeterminateGrowthError(
-            f"growth slope {slope:+.4f} within +-{GROWTH_DEAD_BAND} of the p=inf threshold")
+    levels = [useq.levels_at(int(d)) for d in dims]
+    equalized = all(lv[-1] - lv[0] <= 1e-12 for lv, _ in levels)   # every |u_j| within 1e-12
 
     if v > 2.0:
-        vals = np.array([pmean(v, u) for u in probes])
-        expo = (v - 2.0) / (4.0 * v)
-        slope = _log_slope(dims, vals / dims ** expo)
+        # <u>_p against d^((p-2)/(4p)); <u>_inf = max|u_j| against d^(1/4) sqrt(ln d), a_inf = 0
+        if v == math.inf:
+            name, scale, where, tail = "inf", "d^(1/4) sqrt(ln d)", "the p=inf threshold", ""
+            thr = dims ** 0.25 * np.sqrt(np.log(dims))
+        else:
+            expo = (v - 2.0) / (4.0 * v)
+            name, scale, where, tail = "p", f"d^({expo:.4g})", "the threshold exponent", "; ARE = a_p"
+            thr = dims ** expo
+        slope = _log_slope(dims, np.array([level_pmean(v, lv) for lv in levels]) / thr)
         if slope < -GROWTH_DEAD_BAND:
-            return AREVerdict("finite", a_p(v),
-                              f"<u>_p << d^({expo:.4g}): slope {slope:+.4f}; ARE = a_p")
+            return AREVerdict("finite" if tail else "zero", a_p(v),
+                              f"<u>_{name} << {scale}: slope {slope:+.4f}{tail}")
         if slope > GROWTH_DEAD_BAND:
-            return AREVerdict("infinite", None, f"<u>_p >> d^({expo:.4g}): slope {slope:+.4f}")
+            return AREVerdict("infinite", None, f"<u>_{name} >> {scale}: slope {slope:+.4f}")
         raise IndeterminateGrowthError(
-            f"growth slope {slope:+.4f} within +-{GROWTH_DEAD_BAND} of the threshold exponent")
+            f"growth slope {slope:+.4f} within +-{GROWTH_DEAD_BAND} of {where}")
 
     # p in (-1/2, 2)
     if equalized:
         return AREVerdict("finite", a_p(v), "equalized direction: ARE = a_p")
-    vals = np.array([orlicz_norm(v, alpha, beta, u) for u in probes])
+    vals = np.array([_orlicz_norm(v, alpha, beta, lv) for lv in levels])
     if np.any(vals == 0.0):
         return AREVerdict("zero", 0.0, "||u||_{p,2} = 0 at a probe dimension")
     slope = _log_slope(dims, vals / dims ** 0.25)

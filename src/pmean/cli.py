@@ -281,6 +281,7 @@ def _feasible(args):
 
 
 def _are(args):
+    from dataclasses import replace
     from .are import block_sequence, classify_are, equalized_sequence, spike_sequence
     from .numcore import DomainError
     if args.useq == "equalized":
@@ -292,7 +293,7 @@ def _are(args):
         seq = block_sequence(float(gamma))
     else:
         raise DomainError(f"unknown direction sequence {args.useq!r}: expected {_SEQUENCE_FORMS}")
-    seq = type(seq)(seq.generator, tuple(parse_count(x) for x in args.dims.split(",")))
+    seq = replace(seq, probe_dims=tuple(parse_count(x) for x in args.dims.split(",")))
     v = classify_are(parse_p(args.p), seq, args.alpha, args.beta)
     return {"tag": v.tag, "value": v.value}, {"rationale": v.rationale}
 

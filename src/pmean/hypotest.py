@@ -15,7 +15,7 @@ in ``moments`` with the regime table.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Optional
 
@@ -159,6 +159,22 @@ def _power_sums(pv: float, az: np.ndarray, buf: np.ndarray) -> tuple[np.ndarray,
     return s, k, m
 
 
+def level_set(x) -> tuple[np.ndarray, np.ndarray]:
+    """The sorted distinct |x_j| and their counts, 0 first where x has zeros: the arrays
+    of ``np.unique(np.abs(x), return_counts=True)``, sorting only x's nonzero entries."""
+    x = np.asarray(x, dtype=float)
+    vals, counts = np.unique(np.abs(x[x != 0.0]), return_counts=True)
+    d0 = x.size - counts.sum()
+    return (np.insert(vals, 0, 0.0), np.insert(counts, 0, d0)) if d0 else (vals, counts)
+
+
+def level_pmean(p: float, levels) -> float:
+    """<x>_p for p in (0, inf] from x's level set, as top (sum_k c_k (v_k/top)^p / d)^(1/p)."""
+    vals, counts = levels
+    top = float(vals[-1])
+    return top * float(np.dot(counts, (vals / top) ** p) / counts.sum()) ** (1.0 / p) if top else 0.0
+
+
 def decide(p, c: float, n: int, sample_mean) -> bool:
     """The test delta_{n,p,c}: reject iff sqrt(n) <mean>_p > c (strict)."""
     if n < 1:
@@ -181,27 +197,30 @@ class TestPlan:
     alpha: float
     beta: float
     theta1: np.ndarray
+    levels: tuple = field(init=False, repr=False, compare=False)   # level_set(theta1)
 
     def __post_init__(self):
         object.__setattr__(self, "p", extended_p(self.p))
         object.__setattr__(self, "theta1", np.asarray(self.theta1, dtype=float))
         if not (0.0 < self.alpha < self.beta < 1.0):
             raise DomainError(f"need 0 < alpha < beta < 1, got ({self.alpha}, {self.beta})")
-        if self.theta1.shape != (self.d,):
-            raise DomainError(f"theta1 must have dimension d={self.d}, got shape {self.theta1.shape}")
+        if self.d < 1 or self.theta1.shape != (self.d,):
+            raise DomainError(f"theta1 needs shape (d,) with d={self.d} >= 1, got {self.theta1.shape}")
+        object.__setattr__(self, "levels", level_set(self.theta1))
 
     @cached_property
     def direction(self) -> np.ndarray:
         """theta1 normalized to a <.>_2-unit vector, computed once per plan
         and read-only."""
+        vals, counts = self.levels
         # dividing by max |theta_j| first keeps <.>_2 clear of under- and overflow
-        top = float(np.max(np.abs(self.theta1)))
+        top = float(vals[-1])
         if top == 0.0:
             u = np.zeros_like(self.theta1)
         else:
-            v = self.theta1 / top
-            u = v / pmean(2.0, v)
-            norm = pmean(2.0, u)
+            norm = level_pmean(2.0, (vals / top, counts))
+            u = self.theta1 / top / norm
+            norm = level_pmean(2.0, (vals / top / norm, counts))
             if abs(norm - 1.0) > 1e-12:
                 raise AccuracyError("direction is not <.>_2-unit after normalization", norm, 1e-12)
         u.flags.writeable = False
@@ -259,7 +278,7 @@ def _shift_row(p, d: int, alpha: float, shift):
     if s.size != d:
         raise DomainError(f"shift dimension {s.size} != d = {d}")
     row = regime_row(p, alpha, d)
-    return row, row.shift_sum(s)(1.0)
+    return row, row.shift_sum(level_set(s))(1.0)
 
 
 def power_asymptotic(p, d: int, alpha: float, shift) -> float:
@@ -279,7 +298,7 @@ class Feasibility:
 
 def _feasibility(plan: TestPlan, row) -> Feasibility:
     d = plan.d
-    d0 = int(np.count_nonzero(plan.direction == 0.0))
+    d0 = int(plan.levels[1][0]) if plan.levels[0][0] == 0.0 else 0
     K, kappa, f0 = row.K(plan.beta), row.kappa, row.f_at_zero
     thr = d - (K * kappa - d * f0) / (row.f_at_inf - f0)
     if math.isinf(row.f_at_inf):
@@ -305,7 +324,8 @@ def feasibility(plan: TestPlan) -> Feasibility:
 def as_shift_scale(plan: TestPlan) -> float:
     """The scalar t* > 0 with sum_j f_p(t* theta_j) = K kappa_p(d); the
     asymptotically sufficient shift in the direction of theta1 is t* theta1."""
-    if not np.any(plan.theta1 != 0.0):
+    top = float(plan.levels[0][-1])
+    if top == 0.0:
         raise DomainError("theta1 must be nonzero")
     row = regime_row(plan.p, plan.alpha, plan.d)
     feas = _feasibility(plan, row)
@@ -318,14 +338,18 @@ def as_shift_scale(plan: TestPlan) -> float:
             why = f"direction infeasible: d_0={feas.d0} exceeds threshold {feas.threshold:.6g}"
         raise InfeasibleError(f"p={plan.p}: {why} ({feas.detail})", feas.threshold, feas.d0)
     target = row.K(plan.beta) * row.kappa
-    shift_sum = row.shift_sum(plan.theta1)
+    shift_sum = row.shift_sum(plan.levels)
 
     def g(t):
         return shift_sum(t) - target
 
     # widen t = 1, 2, 4, ... only while t max|theta_j| stays finite
-    _, exponent = math.frexp(float(np.max(np.abs(plan.theta1))))
-    return find_root(g, 0.0, 1.0, tol=1e-12, max_iter=min(1023, 1024 - exponent))
+    _, exponent = math.frexp(top)
+    t = find_root(g, 0.0, 1.0, tol=1e-12, max_iter=min(1023, 1024 - exponent))
+    if t < 1e-9 and (g(math.ulp(0.0)) < 0.0) != (g(2e-9) < 0.0):
+        # the absolute tolerance leaves a root this small few digits: solve in ln t
+        t = math.exp(find_root(lambda l: g(math.exp(l)), -744.5, math.log(2e-9), tol=1e-12))
+    return t
 
 
 def n_for_scale(t: float) -> int:

@@ -539,9 +539,9 @@ class RegimeRow:
     def f_sup(self) -> float:
         return max(self.f_at_zero, self.f_at_inf)
 
-    def shift_sum(self, theta) -> Callable[[float], float]:
-        """t -> sum_j f(t theta_j), evaluating f once per distinct |theta_j|."""
-        vals, counts = np.unique(np.abs(np.asarray(theta, dtype=float)), return_counts=True)
+    def shift_sum(self, levels) -> Callable[[float], float]:
+        """t -> sum_j f(t theta_j) from theta's level set (vals, counts), one f per level."""
+        vals, counts = levels
 
         def total(t):
             with np.errstate(over="ignore"):        # a sum past the doubles is inf

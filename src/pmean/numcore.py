@@ -141,7 +141,9 @@ def tanh_sinh(g: Callable[[np.ndarray], np.ndarray], a, b) -> np.ndarray:
     """Int_a^b g on the fixed tanh-sinh rule, one integral per row: a and b are
     (m, 1) columns of ends, and g maps the (m, nodes) array of abscissae to
     its values."""
-    return (b - a)[:, 0] * (g(a + (b - a) * TS_FL) @ TS_WEIGHTS)
+    w = g(a + (b - a) * TS_FL)
+    w *= TS_WEIGHTS     # then a row sum: a BLAS matrix-vector sum depends on a row's place
+    return (b - a)[:, 0] * w.sum(axis=1)
 
 
 def find_root(g: Callable[[float], float], lo: float, hi: float, tol: float = 1e-12,

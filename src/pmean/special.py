@@ -19,6 +19,8 @@ import math
 import numpy as np
 
 _SQRT1_2 = math.sqrt(0.5)
+# 1/sqrt 2 - _SQRT1_2, and the upper 26 bits of _SQRT1_2 (ndtr's two-product)
+_SQRT1_2_LO, _SQRT1_2_HI = -4.833646656726457e-17, 0.7071067839860916
 _LN_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
 # ln Phi(x) takes its asymptotic series below this x, where Phi(x) is still a
 # normal double (it leaves them near x = -37.5)
@@ -52,11 +54,19 @@ _erfc = _elementwise(math.erfc)
 
 @_elementwise
 def ndtr(x):
-    """Phi(x) = erfc(-x / sqrt 2) / 2, with 1/2 + erf / 2 where |x| < 1 (as cephes)."""
+    """Phi(x) = erfc(-x / sqrt 2) / 2, with 1/2 + erf / 2 where |x| < 1 (as cephes).
+    In the left tail down to z = -27 (Phi subnormal below), x / sqrt 2 = z + z_lo
+    by Dekker's two-product, and erfc takes z_lo as its first-order term."""
     z = x * _SQRT1_2
     if abs(z) < _SQRT1_2:
         return 0.5 + 0.5 * math.erf(z)
-    return 1.0 - 0.5 * math.erfc(z) if z > 0.0 else 0.5 * math.erfc(-z)
+    if not -27.0 < z < 0.0:
+        return 1.0 - 0.5 * math.erfc(z) if z > 0.0 else 0.5 * math.erfc(-z)
+    c = 134217729.0 * x     # Veltkamp's split x = xh + xl
+    xh = c - (c - x)
+    xl, mid = x - xh, _SQRT1_2 - _SQRT1_2_HI
+    z_lo = (xh * _SQRT1_2_HI - z) + xh * mid + xl * _SQRT1_2_HI + xl * mid + x * _SQRT1_2_LO
+    return 0.5 * (math.erfc(-z) + 1.1283791670955126 * math.exp(-z * z) * z_lo)
 
 
 def log_ndtr(x):

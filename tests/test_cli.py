@@ -519,6 +519,19 @@ class TestEdgesOfTheDoubles:
                                   "--theta", "equalized:1.23035e+171"], capsys)
         assert code == 0 and json.loads(out)["result"]["n"] == 1
 
+    def test_tiny_shift_scale_is_reported(self, capsys):
+        # t* near 7e-173 lies far below find_root's absolute 1e-12: it is solved
+        # again in ln t, so t* theta is the scale of the unit direction
+        argv = ["samplesize", "--p", "1.7997102991738103", "--d", "20985", "--alpha", "0.144",
+                "--beta", "0.3844", "--theta"]
+        code, out, _ = run_clean(argv + ["equalized:1.23035e+171"], capsys)
+        assert code == 0
+        tiny = json.loads(out)["result"]
+        code, out, _ = run_clean(argv + ["equalized:1"], capsys)
+        unit = json.loads(out)["result"]
+        assert tiny["n"] == 1 and tiny["shift_scale"] > 0.0
+        assert tiny["shift_scale"] * 1.23035e171 == pytest.approx(unit["shift_scale"], rel=1e-10)
+
     def test_orlicz_norm_at_shifts_past_the_doubles(self, capsys):
         # g_p(e^l) for p < 0 takes its limit lambda_p(0) where e^l overflows
         code, out, _ = run_clean(["are", "--p", "-1e-06", "--alpha", "0.1537", "--beta",

@@ -12,6 +12,7 @@ from pmean.moments import (LOG_MEAN_ZERO, LOG_VAR_ZERO, Regime, _lambda_p_batch,
                            lambda_inf, lambda_p, lambda_p_zero, lambda_pm, limit_law,
                            log_moment, mu_tilde, regime_of, regime_row)
 from pmean.numcore import DomainError, gauss_expect
+from pmean.hypotest import level_set
 
 SQRT_2_OVER_PI = math.sqrt(2 / math.pi)
 EULER = 0.5772156649015329
@@ -478,7 +479,7 @@ class TestRegimeTable:
         calls = []
         traced = dataclasses.replace(row, f=lambda s: calls.append(np.size(s)) or row.f(s))
         want = sum(float(row.f(abs(v))) for v in theta)
-        assert abs(traced.shift_sum(theta)(1.0) - want) < 1e-12 * want
+        assert abs(traced.shift_sum(level_set(theta))(1.0) - want) < 1e-12 * want
         assert calls == [3]
 
     @pytest.mark.parametrize("p", [-0.7, -0.5, -0.25, 0.5, 1.0, 3.0])

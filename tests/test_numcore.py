@@ -95,6 +95,13 @@ def test_gauss_expect_budget_exhaustion():
     assert exc.value.error_bound > 0
 
 
+def test_tanh_sinh_rows_independent_of_position():
+    # a product and a row sum: a BLAS matrix-vector product summed rows 4-5
+    # of this block in another order than rows 0-3
+    from pmean.moments import _log_mean_batch
+    assert len(set(_log_mean_batch(np.full(6, 0.7)).tolist())) == 1
+
+
 def test_find_root_examples():
     assert abs(find_root(lambda x: x * x - 2.0, 1.0, 2.0) - math.sqrt(2)) < 1e-12
     r = find_root(lambda x: normal_cdf(x) - 0.975, 0.0, 4.0)
