@@ -22,7 +22,7 @@ from typing import Optional
 import numpy as np
 
 from .moments import extended_p, regime_row
-from .numcore import AccuracyError, ConfigError, DomainError, RngStream, find_root
+from .numcore import ConfigError, DomainError, RngStream, find_root
 
 
 class InfeasibleError(ValueError):
@@ -209,22 +209,9 @@ class TestPlan:
         object.__setattr__(self, "levels", level_set(self.theta1))
 
     @cached_property
-    def direction(self) -> np.ndarray:
-        """theta1 normalized to a <.>_2-unit vector, computed once per plan
-        and read-only."""
-        vals, counts = self.levels
-        # dividing by max |theta_j| first keeps <.>_2 clear of under- and overflow
-        top = float(vals[-1])
-        if top == 0.0:
-            u = np.zeros_like(self.theta1)
-        else:
-            norm = level_pmean(2.0, (vals / top, counts))
-            u = self.theta1 / top / norm
-            norm = level_pmean(2.0, (vals / top / norm, counts))
-            if abs(norm - 1.0) > 1e-12:
-                raise AccuracyError("direction is not <.>_2-unit after normalization", norm, 1e-12)
-        u.flags.writeable = False
-        return u
+    def row(self):
+        """The regime row at (p, alpha, d), built once per plan."""
+        return regime_row(self.p, self.alpha, self.d)
 
 
 # ---------------------------------------------------------------------------
@@ -296,8 +283,15 @@ class Feasibility:
     detail: str = ""
 
 
-def _feasibility(plan: TestPlan, row) -> Feasibility:
-    d = plan.d
+def feasibility(plan: TestPlan) -> Feasibility:
+    """Whether the direction of theta1 can reach power beta at size alpha.
+
+    Each of the d_0(u) exact zeros of the direction contributes f(0) to the
+    shift sum and every other coordinate can contribute up to f(inf), so the
+    sum reaches K kappa_p(d) iff d_0 is at most the sharp threshold
+    d - (K kappa - d f(0)) / (f(inf) - f(0)); that is d for p >= 0, where f is
+    unbounded."""
+    d, row = plan.d, plan.row
     d0 = int(plan.levels[1][0]) if plan.levels[0][0] == 0.0 else 0
     K, kappa, f0 = row.K(plan.beta), row.kappa, row.f_at_zero
     thr = d - (K * kappa - d * f0) / (row.f_at_inf - f0)
@@ -310,25 +304,13 @@ def _feasibility(plan: TestPlan, row) -> Feasibility:
     return Feasibility(bool(0 <= thr and d0 <= thr), float(thr), d0, detail)
 
 
-def feasibility(plan: TestPlan) -> Feasibility:
-    """Whether the direction of theta1 can reach power beta at size alpha.
-
-    Each of the d_0(u) exact zeros of the direction contributes f(0) to the
-    shift sum and every other coordinate can contribute up to f(inf), so the
-    sum reaches K kappa_p(d) iff d_0 is at most the sharp threshold
-    d - (K kappa - d f(0)) / (f(inf) - f(0)); that is d for p >= 0, where f is
-    unbounded."""
-    return _feasibility(plan, regime_row(plan.p, plan.alpha, plan.d))
-
-
 def as_shift_scale(plan: TestPlan) -> float:
     """The scalar t* > 0 with sum_j f_p(t* theta_j) = K kappa_p(d); the
     asymptotically sufficient shift in the direction of theta1 is t* theta1."""
     top = float(plan.levels[0][-1])
     if top == 0.0:
         raise DomainError("theta1 must be nonzero")
-    row = regime_row(plan.p, plan.alpha, plan.d)
-    feas = _feasibility(plan, row)
+    feas = feasibility(plan)
     if not feas.feasible:
         if feas.threshold < 0:
             # only rows with f bounded above go negative: even d_0 = 0 falls short
@@ -337,8 +319,8 @@ def as_shift_scale(plan: TestPlan) -> float:
         else:
             why = f"direction infeasible: d_0={feas.d0} exceeds threshold {feas.threshold:.6g}"
         raise InfeasibleError(f"p={plan.p}: {why} ({feas.detail})", feas.threshold, feas.d0)
-    target = row.K(plan.beta) * row.kappa
-    shift_sum = row.shift_sum(plan.levels)
+    target = plan.row.K(plan.beta) * plan.row.kappa
+    shift_sum = plan.row.shift_sum(plan.levels)
 
     def g(t):
         return shift_sum(t) - target

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from mpmath import libmp
 
+from pmean import hypotest
 from pmean.hypotest import (CriticalValue, InfeasibleError, TestPlan,
                             _power_sums,
                             as_shift_residual, as_shift_scale, critical_value, decide,
@@ -464,6 +465,11 @@ class TestFeasibility:
         res = feasibility(TestPlan(-1.0, d, 0.05, 0.95, np.zeros(d)))
         assert not res.feasible and res.d0 == d
 
+    def test_d0_counts_exact_zeros(self):
+        for theta, d0 in (([3.0, 0.0, -4.0], 1), ([5e-324, 0.0, 0.0], 2),
+                          ([1e308, -1e308, 0.0], 1)):
+            assert feasibility(TestPlan(-2.0, 3, 0.05, 0.8, np.array(theta))).d0 == d0
+
 
 class TestResidual:
     def test_zero_shift(self):
@@ -518,21 +524,13 @@ class TestTypes:
         with pytest.raises(DomainError):
             TestPlan(2.0, 10, 0.05, 0.95, np.ones(9))
 
-    def test_plan_direction_unit(self):
-        plan = TestPlan(2.0, 4, 0.05, 0.95, np.array([2.0, 0.0, 0.0, 0.0]))
-        assert abs(pmean(2.0, plan.direction) - 1.0) <= 1e-12
-
-    def test_plan_direction_computed_once(self):
-        plan = TestPlan(-2.0, 3, 0.05, 0.8, np.array([3.0, 0.0, -4.0]))
-        assert plan.direction is plan.direction
-        assert not plan.direction.flags.writeable
-        assert feasibility(plan).d0 == 1 and plan.direction is plan.direction
-
-    def test_plan_direction_subnormal_and_huge(self):
-        for theta, d0 in (([5e-324, 0.0, 0.0], 2), ([1e308, -1e308, 0.0], 1)):
-            plan = TestPlan(-2.0, 3, 0.05, 0.8, np.array(theta))
-            assert abs(pmean(2.0, plan.direction) - 1.0) <= 1e-12
-            assert feasibility(plan).d0 == d0
+    def test_plan_builds_one_regime_row(self, monkeypatch):
+        built = []
+        monkeypatch.setattr(hypotest, "regime_row",
+                            lambda *args: built.append(args) or regime_row(*args))
+        plan = TestPlan(3.0, 4, 0.05, 0.8, np.array([3.0, 0.0, -4.0, 1.0]))
+        assert feasibility(plan).feasible and sample_size(plan) >= 1
+        assert built == [(3.0, 0.05, 4)] and plan.row is plan.row
 
     def test_critical_value_float(self):
         cv = CriticalValue(1.5, "asymptotic")
