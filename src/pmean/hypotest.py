@@ -161,9 +161,12 @@ def _power_sums(pv: float, az: np.ndarray, buf: np.ndarray) -> tuple[np.ndarray,
 
 def level_set(x) -> tuple[np.ndarray, np.ndarray]:
     """The sorted distinct |x_j| and their counts, 0 first where x has zeros: the arrays
-    of ``np.unique(np.abs(x), return_counts=True)``, sorting only x's nonzero entries."""
+    of ``np.unique(np.abs(x), return_counts=True)``, sorting only x's nonzero entries.
+    DomainError on a NaN or infinite entry, which ``np.unique`` sorts last."""
     x = np.asarray(x, dtype=float)
     vals, counts = np.unique(np.abs(x[x != 0.0]), return_counts=True)
+    if vals.size and not math.isfinite(vals[-1]):
+        raise DomainError(f"the vector has a non-finite entry ({vals[-1]})")
     d0 = x.size - counts.sum()
     return (np.insert(vals, 0, 0.0), np.insert(counts, 0, d0)) if d0 else (vals, counts)
 
@@ -260,10 +263,9 @@ def _shift_row(p, d: int, alpha: float, shift):
     """The regime row at (p, d, alpha) and sum_j f(s_j) over the shift s, which
     must be a nonempty 1-D vector of dimension d."""
     s = np.asarray(shift, dtype=float)
-    if s.ndim != 1 or s.size == 0:
-        raise DomainError("the shift must be a nonempty 1-D vector")
-    if s.size != d:
-        raise DomainError(f"shift dimension {s.size} != d = {d}")
+    if s.shape != (d,) or d < 1:
+        raise DomainError(f"the shift must be a nonempty 1-D vector of dimension d = {d}, "
+                          f"got shape {s.shape}")
     row = regime_row(p, alpha, d)
     return row, row.shift_sum(level_set(s))(1.0)
 

@@ -19,7 +19,7 @@ from pmean.are import (DirectionSequence, block_sequence, classify_are, orlicz_n
                        spike_sequence)
 from pmean.hypotest import TestPlan, as_shift_scale, feasibility, level_set, sample_size
 from pmean.moments import regime_row
-from pmean.numcore import IndeterminateGrowthError
+from pmean.numcore import DomainError, IndeterminateGrowthError
 
 
 def dense_levels(x):
@@ -112,3 +112,23 @@ def test_library_sequences_allocate_no_probe(p, seq):
     finally:
         tracemalloc.stop()
     assert peak < 2 ** 20
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("entry", [
+    lambda x: hypotest.power_asymptotic(3.0, 3, 0.05, x),
+    lambda x: hypotest.as_shift_residual(3.0, 3, 0.05, 0.8, x),
+    lambda x: sample_size(TestPlan(3.0, 3, 0.05, 0.8, x)),
+    lambda x: feasibility(TestPlan(-2.0, 3, 0.05, 0.8, x)),
+    lambda x: orlicz_norm(1.0, 0.05, 0.8, x),
+], ids=["power_asymptotic", "as_shift_residual", "sample_size", "feasibility", "orlicz_norm"])
+def test_non_finite_vectors_are_domain_errors(entry, bad):
+    with pytest.raises(DomainError, match="non-finite"):
+        entry(np.array([bad, 1.0, 1.0]))
+
+
+def test_non_finite_user_sequence_is_a_domain_error():
+    # a NaN passes the probe's <.>_2-unit check (an infinite entry fails it)
+    seq = DirectionSequence(lambda d: np.r_[np.nan, np.ones(d - 1)], probe_dims=(10, 100, 10_000))
+    with pytest.raises(DomainError, match="non-finite"):
+        classify_are(1.0, seq, 0.05, 0.8)
