@@ -215,18 +215,16 @@ def limit_law_ks(p, d: int, nrep: int, rng: RngStream, threads: int = 1) -> Limi
 # Property checks
 # ---------------------------------------------------------------------------
 
-def majorizes_squares(v, w, tol: float = 1e-8) -> bool:
-    """w^2 majorized by v^2: equal coordinate sums of squares and dominated
-    sorted prefix sums."""
-    v2 = np.sort(np.square(np.asarray(v, dtype=float)))[::-1]
-    w2 = np.sort(np.square(np.asarray(w, dtype=float)))[::-1]
-    if v2.shape != w2.shape:
+def majorizes_squares(v, w) -> bool:
+    """w^2 majorized by v^2: equal coordinate sums of squares and dominated sorted
+    prefix sums, to 1e-8 of the sum, after dividing both by their largest |coordinate|."""
+    v, w = np.abs(np.asarray(v, dtype=float)), np.abs(np.asarray(w, dtype=float))
+    if v.shape != w.shape:
         return False
-    cv, cw = np.cumsum(v2), np.cumsum(w2)
-    scale = max(cv[-1], 1.0)
-    if abs(cv[-1] - cw[-1]) > tol * scale:
-        return False
-    return bool(np.all(cv >= cw - tol * scale))
+    top = max(v.max(), w.max()) or 1.0
+    cv, cw = (np.cumsum(np.sort(np.square(x / top))[::-1]) for x in (v, w))
+    tol = 1e-8 * cv[-1]
+    return bool(abs(cv[-1] - cw[-1]) <= tol and np.all(cv >= cw - tol))
 
 
 @dataclass(frozen=True)

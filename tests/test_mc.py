@@ -145,6 +145,14 @@ class TestMajorization:
         assert majorizes_squares((1, 1), (1, 1))
         assert not majorizes_squares((2, 0), (1, 1))  # sums differ
 
+    def test_scale_free(self):
+        # the same pairs at the edges of the doubles: no overflow, and no absolute slack
+        for scale in (1e-300, 1e-5, 1e195, 1e300):
+            assert majorizes_squares((math.sqrt(2) * scale, 0), (scale, scale))
+            assert not majorizes_squares((scale, 0), (0, 2 * scale))
+            assert not majorizes_squares((scale, scale), (math.sqrt(2) * scale, 0))
+        assert majorizes_squares((0, 0), (0, 0))
+
 
 class TestRandomDirection:
     def test_fraction_tends_to_one(self):
