@@ -40,15 +40,18 @@ def gamma_ratio(p) -> np.ndarray:
 
 def a_p(p) -> float:
     """The equalized-direction ARE constant; extended by 0 on [-inf,-1/2] and
-    at p = +inf, by 2/pi at p = 0, and exactly 1 at p = 2."""
+    past p = 1e4, where it underflows, by 2/pi at p = 0, and exactly 1 at p = 2."""
     v = extended_p(p)
     if v == 2.0:
         return 1.0
     if v == 0.0:
         return 2.0 / math.pi
-    if v <= -0.5 or v == math.inf:
+    if v <= -0.5 or v > 1e4:
         return 0.0
-    return abs(v) / math.sqrt(2.0 * float(np.expm1(_ln_r(v))))
+    lnr = float(_ln_r(v))
+    if lnr > 700.0:   # r - 1 = r, which overflows past p ~ 1024: |p| / sqrt(2 r) in logs
+        return math.exp(math.log(v) - 0.5 * (math.log(2.0) + lnr))
+    return abs(v) / math.sqrt(2.0 * float(np.expm1(lnr)))
 
 
 def a_p_moment_route(p: float) -> float:
@@ -107,15 +110,21 @@ class ApBoundReport:
 
 def verify_ap_bound(p_grid) -> ApBoundReport:
     """Check r(p) > 1 + p^2/2 and max(r1, r2, r3)(p) > 1 + p^2/2 on a grid
-    excluding the equality points {0, 2}."""
+    excluding the equality points {0, 2}.  DomainError where a term leaves the doubles,
+    as r3 does past p ~ 1006.5, since a margin that overflowed verifies nothing."""
     grid = np.asarray(p_grid, dtype=float)
     if np.any(grid <= -0.5):
         raise DomainError("grid must lie in (-1/2, inf)")
     if np.any(grid == 0.0) or np.any(grid == 2.0):
         raise DomainError("grid must exclude the equality points 0 and 2")
-    bound = 1.0 + grid ** 2 / 2.0
-    r = 1.0 + np.expm1(_ln_r(grid))
-    rbest = np.maximum(np.maximum(r1(grid), r2(grid)), r3(grid))
+    with np.errstate(over="ignore", invalid="ignore"):
+        bound = 1.0 + grid ** 2 / 2.0
+        r = 1.0 + np.expm1(_ln_r(grid))
+        rbest = np.maximum(np.maximum(r1(grid), r2(grid)), r3(grid))
+    bad = grid[~(np.isfinite(r) & np.isfinite(bound) & np.isfinite(rbest))]
+    if bad.size:
+        raise DomainError(f"r(p), 1 + p^2/2 or a partial bound r1, r2, r3 leaves the doubles "
+                          f"at p = {float(bad[0])!r}")
     r_margin = r - bound
     part_margin = rbest - bound
     return ApBoundReport(

@@ -156,8 +156,9 @@ def _emit(args, out, result: dict, diagnostics: dict):
         for row in result["rows"]:
             out.write(",".join(f"{x:.12g}" for x in row) + "\n")
     else:
-        doc = {"config": vars(args), "result": result, "diagnostics": diagnostics}
-        out.write(json.dumps(_round12(doc), sort_keys=True) + "\n")
+        # the config keeps every digit, so that re-running it reproduces the run
+        doc = {"config": vars(args), **_round12({"result": result, "diagnostics": diagnostics})}
+        out.write(json.dumps(doc, sort_keys=True) + "\n")
 
 
 def build_parser() -> _Parser:
@@ -312,6 +313,9 @@ def _p_grid(args) -> np.ndarray:
         raise DomainError(f"--step must be positive, got {args.step}")
     if args.lo > args.hi:
         raise DomainError(f"--from {args.lo} exceeds --to {args.hi}: the grid is empty")
+    if args.step < 2.0 * math.ulp(max(abs(args.lo), abs(args.hi))):
+        raise DomainError(f"--step {args.step} is below twice the spacing of the doubles "
+                          "on the grid: it would merge or drop points")
     # counted before np.arange allocates its ceil((hi - lo) / step + 1/2) points
     if (args.hi - args.lo) / args.step + 0.5 > MAX_GRID_POINTS:
         raise DomainError(f"--step {args.step} gives a grid of over {MAX_GRID_POINTS} points")
@@ -321,7 +325,10 @@ def _p_grid(args) -> np.ndarray:
 def _ap_curve(args):
     import numpy as np
     from .are import ap_curve
-    table = ap_curve(np.round(_p_grid(args), 9), with_transform=args.psi)
+    grid = _p_grid(args)
+    with np.errstate(over="ignore"):    # p 1e9 overflows where rounding p leaves it as it is
+        grid = np.where(np.abs(grid) < 1e15, np.round(grid, 9), grid)
+    table = ap_curve(grid, with_transform=args.psi)
     return {"header": ["p", "a_p"] + (["psi_p", "psi_a"] if args.psi else []),
             "rows": [[float(x) for x in row] for row in table]}, {}
 

@@ -401,6 +401,9 @@ class TestContracts:
         ("2", "1", "0.1", "--from"),
         ("0", "8", "1e-9", "--step"),
         ("-1e308", "1e308", "1", "--step"),
+        # below twice the spacing of the doubles, which would merge or drop points
+        ("1e16", "1e16", "1", "--step"),
+        ("1e300", "1e300", "1", "--step"),
     ])
     def test_bad_grid_exit_2(self, cmd, lo, hi, step, flag, capsys, monkeypatch):
         # a bad grid is rejected before any grid is allocated
@@ -551,6 +554,49 @@ class TestEdgesOfTheDoubles:
                                     "--alpha", "7.249658565923702e-177",
                                     "--beta", "7.249658565923703e-177"], capsys)
         assert code == 4 and out == "" and "resolved" in err
+
+    def test_schur2_majorization_at_a_huge_scale(self, capsys):
+        # the squares of the raw coordinates overflow; the pair meets the precondition
+        code, out, _ = run_clean(["schur2-check", "--p", "3.3", "--d", "2", "--c", "1.37",
+                                  "--v", "1.4e195,0", "--w",
+                                  "9.899494936611665e194,9.899494936611665e194",
+                                  "--reps", "1000", "--seed", "4"], capsys)
+        assert code == 0 and json.loads(out)["result"]["tag"] == "inconclusive"
+
+    def test_schur2_majorization_at_a_tiny_scale(self, capsys):
+        # sum w^2 = 4 sum v^2, which an absolute tolerance of 1e-8 let through
+        code, out, err = run_clean(["schur2-check", "--p", "1", "--d", "2", "--c", "1.5",
+                                    "--v", "1e-5,0", "--w", "0,2e-5", "--reps", "1000",
+                                    "--seed", "3"], capsys)
+        assert code == 2 and out == "" and "precondition failed" in err
+
+    @pytest.mark.parametrize("lo, hi, step, p", [("1100", "1110", "1", "1100.0"),
+                                                 ("1.6e193", "1.6e193", "9e204", "1.6e+193")])
+    def test_verify_ap_past_the_doubles(self, lo, hi, step, p, capsys):
+        # an overflowed margin (inf, or NaN from inf - inf) verifies nothing
+        code, out, err = run_clean(["verify-ap", "--from", lo, "--to", hi, "--step", step],
+                                   capsys)
+        assert code == 2 and out == "" and f"p = {p}" in err
+
+    def test_ap_curve_where_r_overflows(self, capsys):
+        code, out, _ = run_clean(["ap-curve", "--from", "1100", "--to", "1101", "--step", "1",
+                                  "--format", "json"], capsys)
+        rows = json.loads(out)["result"]["rows"]
+        assert code == 0 and [p for p, _ in rows] == [1100.0, 1101.0]
+        # a_p = p / sqrt(2 r(p)) with ln r(p) from the log-Gamma functions
+        for p, a in rows:
+            lnr = math.lgamma(0.5) + math.lgamma(p + 0.5) - 2.0 * math.lgamma((p + 1.0) / 2.0)
+            assert a == pytest.approx(math.exp(math.log(p) - 0.5 * (math.log(2.0) + lnr)),
+                                      rel=1e-9)
+
+    def test_echoed_config_keeps_every_digit(self, capsys):
+        argv = ["ap-curve", "--from", "1.0000000000001", "--to", "1.0000000000002",
+                "--step", "1e-13", "--format", "json"]
+        code1, out1 = run_capture(argv, capsys)
+        doc = json.loads(out1)
+        assert (doc["config"]["lo"], doc["config"]["hi"]) == (1.0000000000001, 1.0000000000002)
+        code2, out2 = run_capture(rebuild_argv(doc["config"]), capsys)
+        assert code1 == code2 == 0 and out1 == out2 and len(doc["result"]["rows"]) == 2
 
 
 class TestNearZeroExponent:
