@@ -326,7 +326,7 @@ def _ap_curve(args):
     import numpy as np
     from .are import ap_curve
     grid = _p_grid(args)
-    with np.errstate(over="ignore"):    # p 1e9 overflows where rounding p leaves it as it is
+    with np.errstate(over="ignore"):    # p 1e9 may overflow past 1e15, where p is kept as it is
         grid = np.where(np.abs(grid) < 1e15, np.round(grid, 9), grid)
     table = ap_curve(grid, with_transform=args.psi)
     return {"header": ["p", "a_p"] + (["psi_p", "psi_a"] if args.psi else []),

@@ -216,8 +216,8 @@ def limit_law_ks(p, d: int, nrep: int, rng: RngStream, threads: int = 1) -> Limi
 # ---------------------------------------------------------------------------
 
 def majorizes_squares(v, w) -> bool:
-    """w^2 majorized by v^2: equal coordinate sums of squares and dominated sorted
-    prefix sums, to 1e-8 of the sum, after dividing both by their largest |coordinate|."""
+    """w^2 majorized by v^2: equal sums of squares and dominated sorted prefix
+    sums, to 1e-8 of the sum, after dividing both by their largest |coordinate|."""
     v, w = np.abs(np.asarray(v, dtype=float)), np.abs(np.asarray(w, dtype=float))
     if v.shape != w.shape:
         return False

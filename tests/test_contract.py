@@ -122,10 +122,11 @@ def simulations(draw):
     grid commands."""
     cmd = draw(st.sampled_from(["critval", "simulate", "ks", "schur2-check", "ap-curve",
                                 "verify-ap"]))
-    if cmd in ("ap-curve", "verify-ap"):
-        extra = ["--format", "json"] + (["--psi"] if draw(st.booleans()) else []) \
-            if cmd == "ap-curve" else []
-        return [cmd] + draw(grids()) + extra
+    if cmd == "verify-ap":
+        return [cmd] + draw(grids())
+    if cmd == "ap-curve":
+        psi = ["--psi"] if draw(st.booleans()) else []
+        return [cmd] + draw(grids()) + ["--format", "json"] + psi
     p, d = repr(draw(exponents)), draw(st.integers(1, 100))
     argv = [cmd, "--p", p, "--d", str(d), "--seed", str(draw(st.integers(0, 2 ** 31))),
             "--threads", str(draw(st.integers(1, 2)))]
