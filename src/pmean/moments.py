@@ -129,12 +129,8 @@ def _ln_r(p) -> np.ndarray:
     return lnr
 
 
-# below this |s|, lambda_p(s) - lambda_p(0) and E ln|Z+s| - E ln|Z| (the p-derivative of
-# lambda_p(s) / lambda_p(0) at p = 0: coef_k = -1 / (k (1/2)_k), scale 1/2) go by series
+# below this |s|, lambda_p(s) - lambda_p(0) goes by its series in s^2
 _LAMBDA_SERIES = 0.1
-_LOG_SERIES = -1.0 / (np.arange(1.0, 13.0) * np.cumprod(np.arange(0.5, 12.0)))
-# the u = ln|y| rule of E ln|Z+s| starts here: Int_{-inf}^{U} |u| e^u phi(0) du < 1e-17
-_LOG_U_MIN = -42.0
 # lambda_p's two series stop at a term below this fraction of their sum
 _SERIES_TOL = 2.0 ** -56
 _LN_SERIES_TOL = math.log(_SERIES_TOL)
@@ -217,77 +213,27 @@ def _lambda_p_batch(p: float, s) -> np.ndarray:
     return out
 
 
-def _series_rise(moment: Callable, m0: float, scale: float, coef: np.ndarray) -> Callable:
-    """s -> moment(s) - m0 elementwise, m0 = moment(0), calling moment only at s >=
-    _LAMBDA_SERIES; below, where the difference loses eps / s^2, scale Sum_{k=1}^{12}
-    coef_k (-s^2/2)^k (later terms < 1e-18)."""
+def _lambda_p_rise(p: float) -> Callable[[np.ndarray], np.ndarray]:
+    """s -> lambda_p(s) - lambda_p(0) elementwise, p > -1, calling _lambda_p_batch only at
+    s >= _LAMBDA_SERIES; below, where the difference loses eps / s^2, lambda_p(0)
+    Sum_{k=1}^{12} coef_k (-s^2/2)^k with coef_k = (-p/2)_k / ((1/2)_k k!) (later terms
+    < 1e-18)."""
+    lam0, j = lambda_p_zero(p), np.arange(12.0)
+    coef = np.cumprod((j - 0.5 * p) / ((j + 0.5) * (j + 1.0)))
+
     def rise(s):
         s = np.abs(np.asarray(s, dtype=float))
         small = s < _LAMBDA_SERIES
         if not small.any():
-            return moment(s) - m0
+            return _lambda_p_batch(p, s) - lam0
         out = np.empty(s.shape)
         x = -0.5 * np.square(s[small])
-        out[small] = scale * (np.cumprod(np.repeat(x[:, None], 12, axis=1), axis=1) @ coef)
+        out[small] = lam0 * (np.cumprod(np.repeat(x[:, None], 12, axis=1), axis=1) @ coef)
         if not small.all():
-            out[~small] = moment(s[~small]) - m0
+            out[~small] = _lambda_p_batch(p, s[~small]) - lam0
         return out
 
     return rise
-
-
-def _lambda_p_rise(p: float) -> Callable[[np.ndarray], np.ndarray]:
-    """s -> lambda_p(s) - lambda_p(0), p > -1: coef_k = (-p/2)_k / ((1/2)_k k!)."""
-    lam0, j = lambda_p_zero(p), np.arange(12.0)
-    return _series_rise(lambda s: _lambda_p_batch(p, s), lam0, lam0,
-                        np.cumprod((j - 0.5 * p) / ((j + 0.5) * (j + 1.0))))
-
-
-def _mu_tilde_rise(d: int, mu0: float) -> Callable[[np.ndarray], np.ndarray]:
-    """s -> mu_tilde_d(s) - mu0, mu0 = mu_tilde_d(0): coef_k = Sum_{j<=k} M_2j (-2)^j
-    / ((2j)! (k-j)!), M_0 = mu0, from the even moments M_2j = E[(|Z|^{-1} /\\ d) Z^2j]
-    = 2 (core + tail) / sqrt(2 pi).  With x = 1/(2 d^2), the core d Int_0^{1/d} y^2j phi
-    is (2x)^j Sum_m (-x)^m / (m! (2j+2m+1)), and the tail Int_{1/d}^inf y^(2j-1) phi is
-    2^(j-1) (j-1)! e^-x Sum_{i<j} x^i / i!."""
-    x, j, i = 0.5 / d / d, np.arange(1.0, 13.0), np.arange(30.0)
-    inv_fact = 1.0 / np.cumprod(np.maximum(i, 1.0))     # 1 / i!
-    x_i = x ** i * inv_fact
-    core = (2.0 * x) ** j * ((-1.0) ** i * x_i / (2.0 * (j[:, None] + i) + 1.0)).sum(axis=1)
-    tail = np.cumprod(np.maximum(2.0 * (j - 1.0), 1.0)) * math.exp(-x) * np.cumsum(x_i)[:12]
-    m2j = 2.0 * (core + tail) / SQRT_2PI
-    terms = np.r_[mu0, m2j * (-2.0) ** j / np.cumprod((2.0 * j - 1.0) * 2.0 * j)]
-    coef = np.convolve(terms, inv_fact[:13])[1:13]
-    return _series_rise(lambda s: _mu_tilde_batch(d, s), mu0, 1.0, coef)
-
-
-def _gauss_rule(s: np.ndarray, near: Callable, far: Callable) -> np.ndarray:
-    """A Gaussian moment E g(Z + s) elementwise over s >= 0, BLOCK shifts at a
-    time: ``near(column)`` for s <= GAUSS_TAIL_RADIUS, where the rule runs in
-    u = ln|y| and resolves the singularity of g at y = 0, and ``far(column)``
-    beyond, where g is smooth over z in [-R, R]."""
-    flat = s.ravel()
-    out = np.empty(flat.shape)
-    inner = flat <= GAUSS_TAIL_RADIUS
-    out[inner] = by_blocks(lambda b: near(b[:, None]), flat[inner])
-    out[~inner] = by_blocks(lambda b: far(b[:, None]), flat[~inner])
-    return out.reshape(s.shape)
-
-
-def _u_rule(w: Callable, s, lo) -> np.ndarray:
-    """Sum_{+-} Int_lo^inf w(u) phi(+-e^u - s) du for columns s in [0, R]: the
-    + branch up to ln(s + R), split at u = ln s, where phi(e^u - s) peaks, so
-    that the peak falls on the ends of two rules; the - branch, falling in u,
-    up to ln R."""
-    hi = np.log(s + GAUSS_TAIL_RADIUS)
-    with np.errstate(divide="ignore"):
-        mid = np.clip(np.log(s), lo, hi)
-
-    def plus(u):
-        return w(u) * normal_pdf(np.exp(u) - s)
-
-    return (tanh_sinh(plus, lo, mid) + tanh_sinh(plus, mid, hi)
-            + tanh_sinh(lambda u: w(u) * normal_pdf(np.exp(u) + s), lo,
-                        np.full(s.shape, math.log(GAUSS_TAIL_RADIUS))))
 
 
 def _z_rule(g: Callable, s) -> np.ndarray:
@@ -296,32 +242,81 @@ def _z_rule(g: Callable, s) -> np.ndarray:
     return tanh_sinh(lambda z: g(z) * normal_pdf(z), -R, R)
 
 
-def _mu_tilde_batch(d: int, s) -> np.ndarray:
-    """E(|Z+s|^{-1} /\\ d) elementwise: d P(|Z+s| < 1/d), as Int_{-1}^{1} phi(v/d - s) dv,
-    plus Sum_{+-} Int_{-ln d}^{inf} phi(+-e^u - s) du on the u = ln|y| rule."""
+# E ln|Z+s| and mu_tilde_d(s) for s <= R are Poisson mixtures: (Z+s)^2 is the chi^2_{2k+1}
+# law Y_k with k ~ Poisson(x), x = s^2/2 (Johnson, Kotz & Balakrishnan, ch. 29), so
+# E g(|Z+s|) = Sum_k w_k E g(sqrt Y_k) with w_k = e^-x x^k / k!.  Past k = 12 + 2x + 8 sqrt(x)
+# the Poisson tail is below 1e-20; that is k = 143 at s = R.
+_MIX_K = np.arange(1.0, 144.0)
+# E ln sqrt(Y_k) - E ln|Z| = H_k = (psi(k+1/2) - psi(1/2)) / 2 = Sum_{j<=k} 1/(2j-1)
+_LOG_RISES = np.r_[0.0, np.cumsum(1.0 / (2.0 * _MIX_K - 1.0))]
+
+
+def _log_mean_far(c: np.ndarray) -> np.ndarray:
+    return np.log(c[:, 0]) + _z_rule(lambda z: np.log1p(z / c), c)
+
+
+def _poisson_mix(s: np.ndarray, steps: np.ndarray) -> np.ndarray:
+    """Sum_k w_k steps_k over a block of shifts s in [0, R], k to 12 + 2x + 8 sqrt(x) at
+    the block's largest x.  w_k is w_{k-1} x / k from w_0 = e^-x, and each row is a
+    product and a row sum, not a BLAS matrix-vector product, so equal shifts get equal
+    bits.  Where steps keep one sign, the sum keeps its relative accuracy, also as
+    s -> 0, where a rise is w_1 steps_1 ~ steps_1 s^2/2."""
+    x = 0.5 * (s * s)
+    x_max = x.max()
+    k = _MIX_K[:int(12.0 + 2.0 * x_max + 8.0 * math.sqrt(x_max))]
+    w = np.empty((x.size, k.size + 1))
+    w[:, 0] = np.exp(-x)
+    np.divide(x[:, None], k, out=w[:, 1:])
+    np.cumprod(w, axis=1, out=w)
+    w *= steps[:k.size + 1]
+    return w.sum(axis=1)
+
+
+def _mixture(s, steps: np.ndarray, far: Callable, m0: float) -> np.ndarray:
+    """E g(|Z+s|) - m0 elementwise, BLOCK shifts at a time: Sum_k w_k steps_k, steps_k =
+    E g(sqrt Y_k) - m0, for |s| <= R, and far(column) - m0 beyond, where far is
+    E g(|Z+s|) on the z-rule: g(s + z) is smooth over z in [-R, R] there."""
     s = np.abs(np.asarray(s, dtype=float))
+    flat = s.ravel()
+    out = np.empty(flat.shape)
+    inner = flat <= GAUSS_TAIL_RADIUS
+    out[inner] = by_blocks(lambda b: _poisson_mix(b, steps), flat[inner])
+    out[~inner] = by_blocks(lambda b: far(b[:, None]), flat[~inner]) - m0
+    return out.reshape(s.shape)
 
-    def near(c):
-        one = np.ones(c.shape)
-        return (tanh_sinh(lambda v: normal_pdf(v / d - c), -one, one)
-                + _u_rule(lambda u: 1.0, c, np.full(c.shape, -math.log(d))))
 
-    out = _gauss_rule(s, near, lambda c: _z_rule(lambda z: np.minimum(1.0 / (c + z), d), c))
-    # at s = 0: d erf(1 / (d sqrt 2)) + E_1(1 / (2 d^2)) / sqrt(2 pi)
-    out[s == 0.0] = d * sf.erf(1.0 / (d * math.sqrt(2.0))) + sf.exp1(0.5 / d / d) / SQRT_2PI
-    return out
+@lru_cache(maxsize=64)
+def _mu_tilde_mixture(d: int) -> tuple:
+    """(c, c - c_0, far, c_0) for mu_tilde_d: c_k = E(Y_k^{-1/2} /\\ d), k = 0..143, and the
+    z-rule.  c_0 = d erf(1/(d sqrt 2)) + E_1(a) / sqrt(2 pi) = mu_tilde_d(0) at a = 1/(2 d^2)
+    <= 1/2, and c_k = d P(k+1/2, a) + Gamma(k, a) / (sqrt 2 Gamma(k+1/2)): Gamma(k, a) =
+    (k-1)! e^-a Sum_{i<k} a^i / i!, and d P(k+1/2, a) = e^-a h_k Sum_m a^m / (k+3/2)_m with
+    h_k = d a^(k+1/2) / Gamma(k+3/2) (DLMF 8.7.1), whose term ratios are at most 1/5."""
+    mu0 = d * sf.erf(1.0 / (d * math.sqrt(2.0))) + sf.exp1(0.5 / d / d) / SQRT_2PI
+    if not math.isfinite(mu0):      # 1/(2 d^2) underflows to 0 from d ~ 1.5e162
+        raise DomainError(f"mu_tilde_d needs 1/(2 d^2) > 0 in the doubles, got d={d}")
+    a, k = 0.5 / d / d, _MIX_K
+    gamma_ratio = np.cumprod(np.r_[2.0 / math.sqrt(math.pi), k[:-1] / (k[:-1] + 0.5)])
+    partial = np.cumsum(np.cumprod(np.r_[1.0, a / k[:-1]]))
+    h = SQRT_2_OVER_PI * np.cumprod(a / (k + 0.5))
+    series = np.cumprod(np.c_[np.ones(k.size), a / (k[:, None] + np.arange(1.5, 24.5))],
+                        axis=1).sum(axis=1)
+    c = math.exp(-a) * (h * series + gamma_ratio * partial / math.sqrt(2.0))
+    return (np.r_[mu0, c], np.r_[0.0, c - mu0],
+            lambda col: _z_rule(lambda z: np.minimum(1.0 / (col + z), d), col), mu0)
+
+
+def _mu_tilde_batch(d: int, s) -> np.ndarray:
+    """E(|Z+s|^{-1} /\\ d) elementwise: Sum_k w_k c_k for |s| <= R, whose terms are all
+    positive, and Int_{-R}^{R} min(1/(s+z), d) phi(z) dz beyond."""
+    values, _, far, _ = _mu_tilde_mixture(d)
+    return _mixture(s, values, far, 0.0)
 
 
 def _log_mean_batch(s) -> np.ndarray:
-    """E ln|Z+s| elementwise: Sum_{+-} Int u e^u phi(+-e^u - s) du on the u = ln|y|
-    rule, and ln s + E ln(1 + Z/s) beyond GAUSS_TAIL_RADIUS."""
-    s = np.abs(np.asarray(s, dtype=float))
-
-    out = _gauss_rule(
-        s, lambda c: _u_rule(lambda u: u * np.exp(u), c, np.full(c.shape, _LOG_U_MIN)),
-        lambda c: np.log(c[:, 0]) + _z_rule(lambda z: np.log1p(z / c), c))
-    out[s == 0.0] = LOG_MEAN_ZERO
-    return out
+    """E ln|Z+s| elementwise: Sum_k w_k (E ln|Z| + H_k) for |s| <= R, and ln s + E ln(1 + Z/s)
+    beyond."""
+    return _mixture(s, LOG_MEAN_ZERO + _LOG_RISES, _log_mean_far, 0.0)
 
 
 @lru_cache(maxsize=200_000)
@@ -637,15 +632,15 @@ _ROWS = {
     Regime.NEG_INF: _row_neg_inf,
     Regime.BELOW_NEG_ONE: _row_below_neg_one,
     Regime.NEG_ONE: lambda p, d, a, law: _additive(
-        p, d, a, law, float(d), _mu_tilde_rise(d, law.center)),
+        p, d, a, law, float(d), lambda s: _mixture(s, *_mu_tilde_mixture(d)[1:])),
     Regime.NEG_ONE_TO_NEG_HALF: lambda p, d, a, law: _additive(
         p, d, a, law, float(d) ** abs(p), _lambda_p_rise(p)),
     Regime.NEG_HALF: lambda p, d, a, law: _additive(
         p, d, a, law, math.sqrt(d * math.log(d)), _lambda_p_rise(p)),
     Regime.NEG_HALF_TO_ZERO: lambda p, d, a, law: _additive(
         p, d, a, law, math.sqrt(d), _lambda_p_rise(p)),
-    Regime.ZERO: lambda p, d, a, law: _additive(
-        p, d, a, law, math.sqrt(d), _series_rise(_log_mean_batch, law.center, 0.5, _LOG_SERIES)),
+    Regime.ZERO: lambda p, d, a, law: _additive(p, d, a, law, math.sqrt(d), lambda s: _mixture(
+        s, _LOG_RISES, _log_mean_far, LOG_MEAN_ZERO)),
     Regime.ZERO_TO_INF: lambda p, d, a, law: _additive(
         p, d, a, law, math.sqrt(d), np.square if p == 2.0 else _lambda_p_rise(p)),
     Regime.POS_INF: _row_pos_inf,

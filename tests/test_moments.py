@@ -5,6 +5,8 @@ import warnings
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.special import ndtr
 
 from pmean.moments import (LOG_MEAN_ZERO, LOG_VAR_ZERO, Regime, _lambda_p_batch,
@@ -150,6 +152,8 @@ class TestMuTilde:
     def test_domain(self):
         with pytest.raises(DomainError):
             mu_tilde(0, 0.0)
+        with pytest.raises(DomainError, match="1/\\(2 d\\^2\\)"):
+            mu_tilde(10**163, 1.0)
 
 
 # The batched kernels against 30-digit mpmath oracles: E|Z+s|^p from 1F1,
@@ -195,6 +199,23 @@ def _mp_mu_tilde(d, s):
     cuts = sorted({c} | {x for x in (s - 5, s, s + 5, s + 10, s + 20, s + 40) if x > c})
     return inside + mpmath.quad(lambda y: (mpmath.npdf(y - s) + mpmath.npdf(y + s)) / y,
                                 cuts + [mpmath.inf])
+
+
+# the rows whose f is a Poisson mixture of chi^2_{2k+1} moments below s = 9
+MIXTURE_ROWS = [(0.0, 1000)] + [(-1.0, d) for d in ORACLE_D]
+MIXTURE_S = (1e-10, 1e-4, 0.05, 0.0999, 0.1, 0.3, 1.5, 4.5, 8.99, 9.0, 9.01)
+
+
+def _mp_rise(p, d, s):
+    """f(s) of the p = 0 or p = -1 row, Int_0^inf g(y) (phi(y-s) + phi(y+s) - 2 phi(y)) dy
+    for g = ln y, or minus it for g = min(1/y, d)."""
+    s, c = mpmath.mpf(s), mpmath.mpf(1) / d
+    def bump(y):
+        return mpmath.npdf(y - s) + mpmath.npdf(y + s) - 2 * mpmath.npdf(y)
+    cuts = sorted({mpmath.mpf(0), c, s, s + 10, mpmath.mpf(10)}) + [mpmath.inf]
+    if p == 0.0:
+        return mpmath.quad(lambda y: mpmath.log(y) * bump(y), cuts)
+    return -mpmath.quad(lambda y: min(1 / y, d) * bump(y) if y else d * bump(y), cuts)
 
 
 def _assert_oracle(got, want):
@@ -274,8 +295,9 @@ class TestBatchedKernels:
                 lambda y: math.log(abs(y)) if y else -math.inf, s, points=(0.0,))) < 1e-9
 
     def test_blocks_bound_memory(self):
-        # 20000 distinct shifts: one rule over all of them at once would hold
-        # arrays of 20000 x 281 doubles (45 MB each)
+        # 20000 distinct shifts: one pass over all of them at once would hold
+        # arrays of 20000 x 143 Poisson terms below s = 9 (23 MB each) and of
+        # 20000 x 281 rule nodes beyond (45 MB each)
         import tracemalloc
         s = np.linspace(0.0, 12.0, 20_000)
         tracemalloc.start()
@@ -520,6 +542,25 @@ class TestRegimeTable:
         assert max(err) <= 2e-15, err
         zero = float(regime_row(-1.0, 0.05, d).f(0.0))
         assert zero == 0.0 and math.copysign(1.0, zero) == 1.0
+
+    @pytest.mark.parametrize("p, d", MIXTURE_ROWS)
+    def test_mixture_rows_oracle(self, p, d):
+        # the log and mu_tilde_d rows' f, Poisson mixtures up to s = 9 and the z-rule
+        # beyond, against 40-digit quadrature of their defining integrands
+        got = regime_row(p, 0.05, d).f(np.array(MIXTURE_S))
+        with mpmath.workdps(40):
+            err = [float(abs(g / _mp_rise(p, d, v) - 1)) for g, v in zip(got, MIXTURE_S)]
+        assert max(err) <= 4e-15, err
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(st.sampled_from(MIXTURE_ROWS), st.floats(0.0, 1e6), st.floats(1.01, 100.0))
+    def test_mixture_rows_monotone(self, case, s, ratio):
+        # f(0) = +0, f rises with s, and the p = -1 row stays below its bound mu_tilde_d(0)
+        row = regime_row(case[0], 0.05, case[1])
+        zero, lo, hi = (float(row.f(v)) for v in (0.0, s, s * ratio))
+        assert zero == 0.0 and math.copysign(1.0, zero) == 1.0
+        assert zero <= lo <= hi, (lo, hi)
+        assert row.p == 0.0 or hi < row.f_at_inf
 
     def test_alpha_beta_validation(self):
         with pytest.raises(DomainError):
