@@ -93,6 +93,13 @@ def r3(p):
     return out
 
 
+# h^2, h^3 and h^4 coefficients (40-digit mpmath) of r(2+h) and r2(2+h) less 1 + (2+h)^2/2:
+# both touch the bound at p = 2 (value 3, slope 2), where their quadratic margins fall below
+# the rounding of numbers near 3; within |h| < 1e-3 the h^5 terms are below 2e-11 of them
+_AT_TWO = np.array([[0.20110165040850948, 0.15660235868446966, 0.028844091486359215],
+                    [0.051594860166288738, 0.071784520510144093, 0.0058157307188153389]])
+
+
 @dataclass(frozen=True)
 class ApBoundReport:
     grid: np.ndarray
@@ -111,7 +118,9 @@ class ApBoundReport:
 def verify_ap_bound(p_grid) -> ApBoundReport:
     """Check r(p) > 1 + p^2/2 and max(r1, r2, r3)(p) > 1 + p^2/2 on a grid
     excluding the equality points {0, 2}.  DomainError where a term leaves the doubles,
-    as r3 does past p ~ 1006.5, since a margin that overflowed verifies nothing."""
+    as r3 does past p ~ 1006.5, since a margin that overflowed verifies nothing.  The
+    margins keep their digits where they are quadratic in p: r's is expm1(ln r) - p^2/2,
+    r1's p^2 (1 - 2p) / (2 (2p + 1)), and r's and r2's near 2 are Taylor polynomials."""
     grid = np.asarray(p_grid, dtype=float)
     if np.any(grid <= -0.5):
         raise DomainError("grid must lie in (-1/2, inf)")
@@ -119,14 +128,19 @@ def verify_ap_bound(p_grid) -> ApBoundReport:
         raise DomainError("grid must exclude the equality points 0 and 2")
     with np.errstate(over="ignore", invalid="ignore"):
         bound = 1.0 + grid ** 2 / 2.0
-        r = 1.0 + np.expm1(_ln_r(grid))
-        rbest = np.maximum(np.maximum(r1(grid), r2(grid)), r3(grid))
+        r_rise = np.expm1(_ln_r(grid))
+        r, r2_val, r3_val = 1.0 + r_rise, r2(grid), r3(grid)
+        rbest = np.maximum(np.maximum(r1(grid), r2_val), r3_val)
     bad = grid[~(np.isfinite(r) & np.isfinite(bound) & np.isfinite(rbest))]
     if bad.size:
         raise DomainError(f"r(p), 1 + p^2/2 or a partial bound r1, r2, r3 leaves the doubles "
                           f"at p = {float(bad[0])!r}")
-    r_margin = r - bound
-    part_margin = rbest - bound
+    h = grid - 2.0
+    taylor = h * h * (_AT_TWO[:, :1] + h * (_AT_TWO[:, 1:2] + h * _AT_TWO[:, 2:]))
+    near_two = np.abs(h) < 1e-3
+    r_margin = np.where(near_two, taylor[0], r_rise - 0.5 * grid ** 2)
+    part_margin = np.maximum(np.where(near_two, taylor[1], r2_val - bound), np.maximum(
+        r3_val - bound, grid ** 2 * (1.0 - 2.0 * grid) / (2.0 * (2.0 * grid + 1.0))))
     return ApBoundReport(
         grid=grid, r_values=r, bound=bound,
         r_margin_min=float(r_margin.min()),

@@ -80,6 +80,29 @@ class TestApBound:
         rep = verify_ap_bound(grid)
         assert rep.ok
 
+    def test_no_violation_near_the_equality_points(self):
+        # at p = +-10^-k and 2 +- 10^-k the margins are quadratic in the distance, far
+        # below the rounding of r near 1 and 3: each within 1e-8 of 40-digit mpmath
+        def partials(p):
+            out = [(p + 1) ** 2 / (2 * p + 1), (p + 1) ** 2 / 3, 2 ** (p - mpmath.mpf(0.5))]
+            for j in (1, 2, 3):
+                out[1] *= ((p + 1) / 2 + j) ** 2 / ((mpmath.mpf(1.5) + j) * (p - 0.5 + j))
+            for j in (0, 1):
+                out[2] *= ((p + 1) / 2 + j) ** 2 / ((p / 2 + 0.25 + j) * (p / 2 + 0.75 + j))
+            return out
+
+        grid = [c + sg * 10.0 ** -k for k in range(1, 12) for c in (0.0, 2.0) for sg in (1, -1)]
+        assert verify_ap_bound(grid).ok
+        with mpmath.workdps(40):
+            for p in grid:
+                rep, mp_p = verify_ap_bound([p]), mpmath.mpf(p)
+                bound = 1 + mp_p ** 2 / 2
+                want_r = mpmath.sqrt(mpmath.pi) * mpmath.gamma(mp_p + 0.5) \
+                    / mpmath.gamma((mp_p + 1) / 2) ** 2 - bound
+                want_part = max(partials(mp_p)) - bound
+                assert abs(rep.r_margin_min / want_r - 1) <= 1e-8, p
+                assert abs(rep.partial_margin_min / want_part - 1) <= 1e-8, p
+
     def test_equality_points_rejected(self):
         with pytest.raises(DomainError):
             verify_ap_bound(np.array([0.5, 2.0]))

@@ -578,6 +578,14 @@ class TestEdgesOfTheDoubles:
                                    capsys)
         assert code == 2 and out == "" and f"p = {p}" in err
 
+    @pytest.mark.parametrize("p", ["-1e-08", "1.99999999"])
+    def test_verify_ap_next_to_the_equality_points(self, p, capsys):
+        # the quadratic margins near 0 and 2 once rounded to false violations (exit 4)
+        code, out, _ = run_clean(["verify-ap", "--from", p, "--to", p, "--step", "1"], capsys)
+        result = json.loads(out)["result"]
+        assert code == 0 and result["ok"] is True
+        assert result["r_margin_min"] > 0.0 and result["partial_margin_min"] > 0.0
+
     def test_ap_curve_where_r_overflows(self, capsys):
         code, out, _ = run_clean(["ap-curve", "--from", "1100", "--to", "1101", "--step", "1",
                                   "--format", "json"], capsys)
