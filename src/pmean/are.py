@@ -16,6 +16,7 @@ which is the form used throughout: expm1 for r - 1, and ln r from
 
 from __future__ import annotations
 
+import functools
 import math
 import sys
 from dataclasses import dataclass, field
@@ -24,7 +25,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import special as sf
-from .moments import _ln_r, extended_p, lambda_p, regime_row
+from .moments import _check_beta, _ln_r, extended_p, lambda_p, regime_row
 from .numcore import (GAUSS_TAIL_RADIUS, AccuracyError, BracketError, DomainError,
                       IndeterminateGrowthError, find_root, normal_pdf, tanh_sinh)
 from .hypotest import level_pmean, level_set, pmean
@@ -297,6 +298,7 @@ def classify_are(p, useq: DirectionSequence, alpha: float, beta: float) -> AREVe
     p = inf, a regression slope inside the dead band raises
     IndeterminateGrowthError rather than guessing a side.
     """
+    _check_beta(alpha, beta)
     v = extended_p(p)
     dims = np.asarray(sorted(useq.probe_dims), dtype=float)
     if len(dims) < 3 or dims[-1] / dims[0] < 999.0:
@@ -458,47 +460,60 @@ def _prob_le(pv: float, v: np.ndarray, c: float) -> float:
         return float(_prob_rows(pv, np.array([budget]), v)[0])
 
 
+# Entries of the _exact_scale cache, one float each: a perfbench plan pass fills 22
+_EXACT_SCALES = 256
+
+
+@functools.lru_cache(maxsize=_EXACT_SCALES)
+def _exact_scale(pv: float, u: tuple, alpha: float, beta: float) -> float:
+    """The scale t solving P(<Z + t u>_p > c) = beta at the exact size-alpha
+    critical value c of the p-mean test, for the <.>_2-unit direction u of
+    d = len(u) coordinates.  BracketError when the power stays below beta at
+    every scale.  Cached: the 2-mean leg of ``are_finite`` does not depend on p."""
+    d, v = len(u), np.array(u)
+    m = u.count(0.0)             # u's zero coordinates
+
+    def size_gap(c):
+        return (1.0 - _prob_le(pv, np.zeros(d), c)) - alpha
+
+    c = find_root(size_gap, 0.0, 1.0, tol=1e-13)
+    if pv < 0.0 and m:
+        # as t grows, |Z_j + t u_j|^p -> 0 off u's m zero coordinates, so the
+        # power tends to P(<Z>_p > c (d/m)^{1/p}) over those m alone
+        limit = 1.0 - _prob_le(pv, np.zeros(m), c * (d / m) ** (1.0 / pv))
+        if limit <= beta:
+            raise BracketError(
+                f"the power equation has no root: at p={pv:g} the power tends to "
+                f"{limit:.6g} <= beta={beta} as the scale grows, held there by the "
+                f"{m} zero coordinate(s) of u")
+
+    def power_gap(t):
+        return (1.0 - _prob_le(pv, t * v, c)) - beta
+
+    return find_root(power_gap, 0.0, 1.0, tol=1e-13)
+
+
 def are_finite(p, d: int, u, alpha: float, beta: float) -> float:
     """Exact finite-d ARE of the p-mean test vs the 2-mean test in the
     continuous-sample-size Gaussian model: t_2^2 / t_p^2 where t_r solves
     P(<Z + t u>_r > c_r) = beta at the exact size-alpha critical value c_r.
     BracketError when the power stays below beta at every scale t."""
-    if d not in (1, 2, 3):
-        raise DomainError(f"are_finite supports d in {{1, 2, 3}}, got {d}")
-    if not (0.0 < alpha < beta < 1.0):
-        raise DomainError(f"need 0 < alpha < beta < 1")
+    if not isinstance(d, (int, np.integer)) or d not in (1, 2, 3):
+        raise DomainError(f"are_finite supports an integer d in {{1, 2, 3}}, got {d!r}")
+    _check_beta(alpha, beta)
     u = np.asarray(u, dtype=float)
     if u.shape != (d,):
         raise DomainError(f"u must have dimension {d}")
+    bad = u[~np.isfinite(u)]
+    if bad.size:
+        raise DomainError(f"u has a non-finite entry ({bad[0]})")
     norm = pmean(2.0, u)
     if norm == 0.0:
         raise DomainError("u must be nonzero")
-    u = u / norm
-    m = int(np.count_nonzero(u == 0.0))   # u's zero coordinates
+    unit = tuple((u / norm).tolist())
     pv = extended_p(p)
-
-    def solve_for(pp):
-        def size_gap(c):
-            return (1.0 - _prob_le(pp, np.zeros(d), c)) - alpha
-
-        c = find_root(size_gap, 0.0, 1.0, tol=1e-13)
-        if pp < 0.0 and m:
-            # as t grows, |Z_j + t u_j|^p -> 0 off u's m zero coordinates, so the
-            # power tends to P(<Z>_p > c (d/m)^{1/p}) over those m alone
-            limit = 1.0 - _prob_le(pp, np.zeros(m), c * (d / m) ** (1.0 / pp))
-            if limit <= beta:
-                raise BracketError(
-                    f"the power equation has no root: at p={pp:g} the power tends to "
-                    f"{limit:.6g} <= beta={beta} as the scale grows, held there by the "
-                    f"{m} zero coordinate(s) of u")
-
-        def power_gap(t):
-            return (1.0 - _prob_le(pp, t * u, c)) - beta
-
-        return find_root(power_gap, 0.0, 1.0, tol=1e-13)
-
-    t2 = solve_for(2.0)
-    tp = solve_for(pv)
+    t2 = _exact_scale(2.0, unit, alpha, beta)
+    tp = _exact_scale(pv, unit, alpha, beta)
     # the solves hold t to 1e-13: the ratio to 2e-13 (1/t2 + 1/tp) relative
     err = 2e-13 * (1.0 / t2 + 1.0 / tp) if t2 > 0.0 and tp > 0.0 else math.inf
     if not err <= 1e-6:

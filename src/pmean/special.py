@@ -8,9 +8,9 @@ poles, off its domain and past overflow, never an exception.
 No planning path needs ``scipy.special``: the shifted moments E|Z+s|^p are
 summed in ``moments`` by their own series, and Phi and ln Phi are called on
 scalars or on arrays of a few hundred shifts.  Only the exact finite-d ARE
-recursion in ``are`` keeps scipy's vectorized ``ndtr``, which it calls on
-hundreds of thousands of quadrature nodes per solve, ten times faster than
-an elementwise Phi.
+recursion in ``are`` keeps scipy's vectorized ``ndtr``, ten times faster than
+an elementwise Phi: a perfbench ``plan`` pass calls it on some 170k quadrature
+nodes, its 22 ``are_finite`` calls sharing each direction's cached 2-mean leg.
 """
 
 import functools

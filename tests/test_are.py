@@ -229,6 +229,15 @@ class TestClassify:
         assert classify_are(math.inf, spike_sequence(), 0.05, 0.95).tag == "infinite"
         assert classify_are(math.inf, equalized_sequence(), 0.05, 0.95).tag == "zero"
 
+    @pytest.mark.parametrize("p, seq", [(2.0, spike_sequence()), (-1.0, spike_sequence()),
+                                        (1.0, equalized_sequence()), (1.0, spike_sequence())])
+    @pytest.mark.parametrize("alpha, beta", [(0.9, 0.8), (0.05, 1.5), (0.0, 0.8)])
+    def test_alpha_beta_checked_on_every_path(self, p, seq, alpha, beta):
+        # the p = 2, p <= -1/2 and equalized paths returned a verdict for any
+        # alpha and beta: p = 1, alpha = 0.9, beta = 0.8 read a_1 = 0.9359
+        with pytest.raises(DomainError, match=f"got alpha={alpha}, beta={beta}"):
+            classify_are(p, seq, alpha, beta)
+
 
 def _prob_le_d2_mpmath(p, v, c):
     """P(<Z + v>_p <= c) at d = 2 in 25-digit arithmetic: z_1 over the line,
@@ -359,8 +368,10 @@ class TestAreFinite:
         # off u's zero coordinates |Z_j + t u_j|^p -> 0 as t grows, so the power
         # tends to the m-coordinate test at c (d/m)^{1/p}; the limits match
         # 1 - _prob_le at t = 1e4 to 3e-9
-        with pytest.raises(BracketError, match=f"tends to {limit} <= beta=0.8"):
-            are_finite(p, len(u), u, 0.05, 0.8)
+        # twice: the scale cache stores no exception, so a repeat fails again
+        for _ in range(2):
+            with pytest.raises(BracketError, match=f"tends to {limit} <= beta=0.8"):
+                are_finite(p, len(u), u, 0.05, 0.8)
 
     def test_power_limit_above_beta_still_solves(self):
         # the same direction at beta = 0.3, under its power limit 0.327
@@ -372,6 +383,56 @@ class TestAreFinite:
             are_finite(1.0, 4, (1, 1, 1, 1), 0.05, 0.95)
         with pytest.raises(DomainError):
             are_finite(1.0, 2, (0, 0), 0.05, 0.95)
+
+    @pytest.mark.parametrize("d, u, match", [
+        (2, [math.nan, 1.0], r"non-finite entry \(nan\)"),
+        (2, [math.inf, 1.0], r"non-finite entry \(inf\)"),
+        (3, [1.0, 0.0, -math.inf], r"non-finite entry \(-inf\)"),
+        (2.0, [1.0, 1.0], "integer d in {1, 2, 3}, got 2.0"),
+    ])
+    def test_bad_direction_or_d_rejected_before_solving(self, monkeypatch, d, u, match):
+        # a NaN entry widened the size bracket 200 times into a BracketError, an
+        # infinite one warned in u / norm, and d = 2.0 raised TypeError in np.zeros
+        monkeypatch.setattr(are, "find_root", lambda *a, **k: pytest.fail("solved first"))
+        with pytest.raises(DomainError, match=match):
+            are_finite(1.0, d, u, 0.05, 0.8)
+
+    @pytest.mark.parametrize("alpha, beta", [(0.9, 0.8), (0.05, 1.5), (math.nan, 0.8)])
+    def test_alpha_beta_named(self, alpha, beta):
+        with pytest.raises(DomainError, match=f"got alpha={alpha}, beta={beta}"):
+            are_finite(1.0, 2, [1.0, 0.5], alpha, beta)
+
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_cached_scales_keep_their_bits(self, d):
+        # a sweep over the perfbench plan exponents shares its 2-mean leg; each
+        # value is the one a cold cache gives
+        ps = (-math.inf, -2.0, -1.0, -0.7, -0.5, -0.3, 0.0, 1.0, 2.0, 3.0, math.inf)
+        u = (1.0, 0.4321)[:d]
+        are._exact_scale.cache_clear()
+        warm = [are_finite(p, d, u, 0.05, 0.8) for p in ps]
+        for p, v in zip(ps, warm):
+            are._exact_scale.cache_clear()
+            assert are_finite(p, d, u, 0.05, 0.8).hex() == v.hex()
+
+    def test_two_mean_leg_solved_once(self, monkeypatch):
+        exponents = []
+
+        def counted(pv, v, c):
+            exponents.append(pv)
+            return _prob_le(pv, v, c)
+
+        monkeypatch.setattr(are, "_prob_le", counted)
+        u = (1.0, 0.4321)
+        are._exact_scale.cache_clear()
+        are_finite(1.0, 2, u, 0.05, 0.8)
+        assert 2.0 in exponents
+        exponents.clear()
+        are_finite(3.0, 2, u, 0.05, 0.8)
+        assert exponents and 2.0 not in exponents
+        # at p = 2 both legs are one entry
+        are._exact_scale.cache_clear()
+        are_finite(2.0, 2, u, 0.05, 0.8)
+        assert are._exact_scale.cache_info().currsize == 1
 
 
 class TestAttaining:

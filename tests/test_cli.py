@@ -275,6 +275,13 @@ class TestContracts:
                                 capsys)
         assert code == 0 and math.isfinite(json.loads(out)["result"]["critical_value"])
 
+    @pytest.mark.parametrize("useq", ["equalized", "spike"])
+    def test_are_alpha_above_beta_exit_2(self, useq, capsys):
+        # the equalized verdict printed a_1 = 0.935932260873 and exited 0
+        assert run(["are", "--p", "1", "--alpha", "0.9", "--beta", "0.8", "--useq", useq]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "got alpha=0.9, beta=0.8" in captured.err
+
     def test_are_finite_no_root_exit_2(self, capsys):
         # u's zero coordinate holds the p = -2 power at 1 - 0.673 < beta at
         # every scale; this used to exit 4 naming an unresolved window
